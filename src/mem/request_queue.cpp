@@ -4,8 +4,8 @@
 
 namespace tcm::mem {
 
-RequestQueue::RequestQueue(int readCap, int writeCap)
-    : readCap_(readCap), writeCap_(writeCap)
+RequestQueue::RequestQueue(int readCap, int writeCap, int numBanks)
+    : readCap_(readCap), writeCap_(writeCap), bankQueued_(numBanks, 0)
 {
     reads_.reserve(readCap);
     writes_.reserve(writeCap);
@@ -30,6 +30,8 @@ RequestQueue::canAcceptWrite() const
 void
 RequestQueue::addInFlight(const Request &req)
 {
+    assert(req.bank >= 0 &&
+           static_cast<std::size_t>(req.bank) < bankQueued_.size());
     if (req.isWrite) {
         assert(canAcceptWrite());
         ++inFlightWrites_;
@@ -60,6 +62,7 @@ RequestQueue::admitArrivals(Cycle now)
     admitScratch_.assign(inFlight_.begin(), inFlight_.begin() + n);
     inFlight_.erase(inFlight_.begin(), inFlight_.begin() + n);
     for (const Request &req : admitScratch_) {
+        ++bankQueued_[req.bank];
         if (req.isWrite) {
             --inFlightWrites_;
             writes_.push_back(req);
@@ -90,6 +93,7 @@ RequestQueue::removeRead(std::size_t idx)
     readArrivedAt_.pop_back();
     readKeyHi_[idx] = readKeyHi_.back();
     readKeyHi_.pop_back();
+    --bankQueued_[req.bank];
     return req;
 }
 
@@ -100,6 +104,7 @@ RequestQueue::removeWrite(std::size_t idx)
     Request req = writes_[idx];
     writes_[idx] = writes_.back();
     writes_.pop_back();
+    --bankQueued_[req.bank];
     return req;
 }
 

@@ -23,7 +23,9 @@ namespace tcm::mem {
 class RequestQueue
 {
   public:
-    RequestQueue(int readCap, int writeCap);
+    /** @p numBanks sizes the per-bank occupancy counts (bank ids are
+     *  channel-local, in [0, numBanks)). */
+    RequestQueue(int readCap, int writeCap, int numBanks);
 
     /** @{ Capacity checks, counting in-flight arrivals. */
     bool canAcceptRead() const;
@@ -74,6 +76,14 @@ class RequestQueue
     /** Visible + in-flight write count. */
     std::size_t writeLoad() const { return writes_.size() + inFlightWrites_; }
 
+    /**
+     * Visible reads plus writes targeting bank @p b (in-flight requests
+     * are not counted). Maintained by admitArrivals, removeRead and
+     * removeWrite, so "does any queued request target this bank" is one
+     * load instead of a walk over both queues.
+     */
+    int queuedAt(BankId b) const { return bankQueued_[b]; }
+
     // -- SoA mirror of the read queue ---------------------------------------
     //
     // The hot candidate scan touches only a handful of Request fields;
@@ -98,6 +108,7 @@ class RequestQueue
     std::vector<Request> admitScratch_; //!< reused by admitArrivals
     std::size_t inFlightReads_ = 0;
     std::size_t inFlightWrites_ = 0;
+    std::vector<int> bankQueued_; //!< visible reads + writes per bank
 
     // Index-aligned with reads_.
     std::vector<BankId> readBank_;

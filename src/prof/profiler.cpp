@@ -225,6 +225,8 @@ ProfileReport::provenance() const
                      static_cast<double>(scan.dominanceSkipped));
     out.emplace_back("fallback_scans",
                      static_cast<double>(scan.fallbackScans));
+    out.emplace_back("legality_probes",
+                     static_cast<double>(scan.legalityProbes));
     return out;
 }
 
@@ -273,7 +275,8 @@ ProfileReport::toJson() const
     out << "  \"scan\": {\"soa_scans\": " << scan.soaScans
         << ", \"reads_examined\": " << scan.readsExamined
         << ", \"dominance_skipped\": " << scan.dominanceSkipped
-        << ", \"fallback_scans\": " << scan.fallbackScans << "},\n";
+        << ", \"fallback_scans\": " << scan.fallbackScans
+        << ", \"legality_probes\": " << scan.legalityProbes << "},\n";
     out << "  \"lanes\": [";
     for (std::size_t l = 0; l < laneBusyNs.size(); ++l) {
         if (l)
@@ -346,6 +349,12 @@ ProfileReport::print(std::FILE *out) const
                      static_cast<unsigned long long>(scan.dominanceSkipped),
                      skipPct,
                      static_cast<unsigned long long>(scan.fallbackScans));
+        std::fprintf(out,
+                     "  legality probes: %llu (%.2f per read scan)\n",
+                     static_cast<unsigned long long>(scan.legalityProbes),
+                     static_cast<double>(scan.legalityProbes) /
+                         static_cast<double>(scan.soaScans +
+                                             scan.fallbackScans));
     }
     if (gangLanes > 1 && !laneBusyNs.empty()) {
         double gangMs = phaseMs(Phase::GangRun);

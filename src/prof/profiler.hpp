@@ -120,12 +120,16 @@ class ScopedPhase
     std::chrono::steady_clock::time_point t0_{};
 };
 
-/** SoA read-scan efficiency counters (see mem::Controller::tryIssueReads). */
+/** Scan efficiency counters (see mem::Controller::tryIssueReads). */
 struct ScanCounters {
     std::uint64_t soaScans = 0;         //!< SoA scans executed
     std::uint64_t readsExamined = 0;    //!< candidate reads visited
     std::uint64_t dominanceSkipped = 0; //!< rejected by packed-key compare
     std::uint64_t fallbackScans = 0;    //!< legacy scans (rank overflow)
+    /** Channel::canIssue calls made by the read and write scans (at
+     *  most one per bank and command class per tick; see
+     *  mem::MemoryController::legal). */
+    std::uint64_t legalityProbes = 0;
 
     void
     addFrom(const ScanCounters &other)
@@ -134,6 +138,7 @@ struct ScanCounters {
         readsExamined += other.readsExamined;
         dominanceSkipped += other.dominanceSkipped;
         fallbackScans += other.fallbackScans;
+        legalityProbes += other.legalityProbes;
     }
 };
 

@@ -537,8 +537,9 @@ TEST(BankGroups, SameGroupColumnsWaitTccdLong)
     ASSERT_LT(t.tCCD_S, t.tCCD_L);
     Channel ch(t);
     ch.issue(CommandKind::Activate, 0, 1, 0); // group 0
-    Cycle act2 = t.tRRD_S;
-    ch.issue(CommandKind::Activate, 1, 1, act2); // same group 0
+    // Same group 0: the second ACT must wait tRRD_L, not tRRD_S.
+    Cycle act2 = t.tRRD_L;
+    ch.issue(CommandKind::Activate, 1, 1, act2);
     Cycle rd1 = 1000; // all banks ready
     ch.issue(CommandKind::Read, 0, 1, rd1);
     // Same group: tCCD_S is not enough, tCCD_L is.

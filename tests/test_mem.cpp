@@ -4,9 +4,12 @@
  * write drain, refresh, backpressure and completion timing.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
+#include "dram/protocol.hpp"
 #include "mem/controller.hpp"
 #include "mem/request_queue.hpp"
 #include "sched/fcfs.hpp"
@@ -26,6 +29,13 @@ timing(bool refresh = false)
     return t;
 }
 
+/** Commands the controller has issued so far (stats-visible ones). */
+std::uint64_t
+commandsIssued(const ControllerStats &s)
+{
+    return s.activates + s.precharges + s.readsServiced + s.writesServiced;
+}
+
 /** Run the controller for @p cycles starting at @p from. */
 Cycle
 spin(MemoryController &mc, Cycle from, Cycle cycles)
@@ -43,7 +53,7 @@ spin(MemoryController &mc, Cycle from, Cycle cycles)
 
 TEST(RequestQueue, CapacityCountsInFlight)
 {
-    RequestQueue q(2, 1);
+    RequestQueue q(2, 1, 8);
     Request r;
     r.arrivedAt = 100;
     ASSERT_TRUE(q.canAcceptRead());
@@ -56,7 +66,7 @@ TEST(RequestQueue, CapacityCountsInFlight)
 
 TEST(RequestQueue, AdmitsOnlyDueArrivals)
 {
-    RequestQueue q(8, 8);
+    RequestQueue q(8, 8, 8);
     Request a, b;
     a.arrivedAt = 10;
     a.seq = 1;
@@ -76,7 +86,7 @@ TEST(RequestQueue, AdmitsOnlyDueArrivals)
 
 TEST(RequestQueue, RemoveReadSwapPops)
 {
-    RequestQueue q(8, 8);
+    RequestQueue q(8, 8, 8);
     for (int i = 0; i < 3; ++i) {
         Request r;
         r.seq = i;
@@ -91,7 +101,7 @@ TEST(RequestQueue, RemoveReadSwapPops)
 
 TEST(RequestQueue, WritesGoToWriteQueue)
 {
-    RequestQueue q(8, 8);
+    RequestQueue q(8, 8, 8);
     Request w;
     w.isWrite = true;
     w.arrivedAt = 0;
@@ -99,6 +109,62 @@ TEST(RequestQueue, WritesGoToWriteQueue)
     q.admitArrivals(0);
     EXPECT_EQ(q.reads().size(), 0u);
     EXPECT_EQ(q.writes().size(), 1u);
+}
+
+TEST(RequestQueue, PerBankCountsMatchBruteForce)
+{
+    // Seeded random admit/remove sequences, including swap-pop removals
+    // from the middle of either queue: after every step the maintained
+    // per-bank counts equal a fresh count over the visible queues.
+    constexpr int kBanks = 8;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        RequestQueue q(32, 16, kBanks);
+        tcm::Pcg32 rng(seed);
+        Cycle now = 0;
+        std::uint64_t seq = 0;
+        auto check = [&](int step) {
+            for (BankId b = 0; b < kBanks; ++b) {
+                int expected = 0;
+                for (const Request &r : q.reads())
+                    expected += r.bank == b ? 1 : 0;
+                for (const Request &r : q.writes())
+                    expected += r.bank == b ? 1 : 0;
+                ASSERT_EQ(q.queuedAt(b), expected)
+                    << "seed " << seed << " step " << step << " bank " << b;
+            }
+        };
+        for (int step = 0; step < 4000; ++step) {
+            switch (rng.nextBelow(4)) {
+              case 0: { // submit; visible after a fixed transport delay
+                Request r;
+                r.seq = seq++;
+                r.isWrite = rng.nextBool(0.3);
+                r.bank = static_cast<BankId>(rng.nextBelow(kBanks));
+                r.arrivedAt = now + 3;
+                if (r.isWrite ? q.canAcceptWrite() : q.canAcceptRead())
+                    q.addInFlight(r);
+                break;
+              }
+              case 1:
+                q.admitArrivals(now);
+                break;
+              case 2:
+                if (!q.reads().empty())
+                    q.removeRead(rng.nextBelow(
+                        static_cast<std::uint32_t>(q.reads().size())));
+                break;
+              default:
+                if (!q.writes().empty())
+                    q.removeWrite(rng.nextBelow(
+                        static_cast<std::uint32_t>(q.writes().size())));
+                break;
+            }
+            now += rng.nextBelow(3);
+            check(step);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -662,6 +728,71 @@ TEST(Controller, IdleSkipIsCycleExactWithPoliciesEngaged)
     EXPECT_GE(skipped[skipped.size() - 4], 1u); // drain latches
 }
 
+TEST(Controller, NextEventAtNeverSkipsWorkWithPoliciesEngaged)
+{
+    // The event-horizon contract with every policy armed: a tick before
+    // nextEventAt (and with no submission since the query) issues no
+    // command. Speculative precharge and power-down fire while the
+    // queues are empty, where only their own nextEventAt folds — driven
+    // by the per-bank queue counts — bound the horizon.
+    for (const dram::TimingParams &base :
+         {timing(/*refresh=*/true), dram::protocols::ddr4_2400().derive()}) {
+        dram::TimingParams t = base;
+        ControllerParams p;
+        p.writeDrain.mode = WriteDrainMode::Strict;
+        p.writeDrain.highWatermark = 4;
+        p.writeDrain.lowWatermark = 1;
+        p.speculativePrecharge = true;
+        p.powerDownIdleCycles = 700;
+        sched::FrFcfs sched;
+        sched.configure(4, 1, t.banksPerChannel);
+        MemoryController mc(0, t, p, sched);
+
+        tcm::Pcg32 rng(4242);
+        const auto banks = static_cast<std::uint32_t>(t.banksPerChannel);
+        std::uint64_t id = 1;
+        Cycle horizon = 0;
+        std::uint64_t skippedTicks = 0;
+        for (Cycle now = 0; now < 60'000; ++now) {
+            bool submitted = false;
+            bool active = now % 6000 < 600;
+            if (active && rng.nextBool(0.08) && mc.canAcceptRead()) {
+                mc.submitRead(static_cast<ThreadId>(rng.nextBelow(4)), id++,
+                              static_cast<BankId>(rng.nextBelow(banks)),
+                              static_cast<RowId>(rng.nextBelow(4)),
+                              static_cast<ColId>(rng.nextBelow(64)), now);
+                submitted = true;
+            }
+            if (active && rng.nextBool(0.02) && mc.canAcceptWrite()) {
+                mc.submitWrite(static_cast<ThreadId>(rng.nextBelow(4)),
+                               static_cast<BankId>(rng.nextBelow(banks)),
+                               static_cast<RowId>(rng.nextBelow(4)), 0, now);
+                submitted = true;
+            }
+            const ControllerStats before = mc.stats();
+            mc.tick(now);
+            mc.completions().clear();
+            if (!submitted && now < horizon) {
+                ++skippedTicks;
+                const ControllerStats &after = mc.stats();
+                ASSERT_EQ(commandsIssued(after), commandsIssued(before))
+                    << "command at " << now << " before horizon " << horizon;
+                ASSERT_EQ(after.powerDowns + after.powerUps +
+                              after.refreshes,
+                          before.powerDowns + before.powerUps +
+                              before.refreshes)
+                    << "rank command at " << now << " before horizon "
+                    << horizon;
+            }
+            horizon = mc.nextEventAt(now + 1);
+        }
+        EXPECT_GT(skippedTicks, 10'000u);
+        EXPECT_GE(mc.stats().speculativePrecharges, 1u);
+        EXPECT_GE(mc.stats().powerDowns, 1u);
+        EXPECT_GE(mc.stats().powerUps, 1u);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Aging tier (ATLAS-style escalation)
 // ---------------------------------------------------------------------------
@@ -720,4 +851,126 @@ TEST(Controller, OverAgeRequestBeatsHigherRank)
     // Without aging the victim would starve ~forever; with a 3000-cycle
     // threshold it must finish shortly after aging out.
     EXPECT_LT(victim_done_at, 8000u);
+}
+
+// ---------------------------------------------------------------------------
+// Legality memo: the scan's horizon is the per-request brute force
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Min over every queued request of the earliest cycle its next command
+ * could issue, computed one request at a time — the per-request probe
+ * the controller's per-bank memo replaces.
+ */
+Cycle
+bruteForceNextIssue(const MemoryController &mc,
+                    const std::vector<Request> &queued)
+{
+    const dram::Channel &ch = mc.channel();
+    Cycle best = kCycleNever;
+    for (const Request &r : queued) {
+        const dram::Bank &bank = ch.bank(r.bank);
+        dram::CommandKind cmd = bank.precharged() ? dram::CommandKind::Activate
+                                : bank.openRow() == r.row
+                                    ? dram::CommandKind::Read
+                                    : dram::CommandKind::Precharge;
+        best = std::min(best, ch.earliestIssue(cmd, r.bank));
+    }
+    return best;
+}
+
+void
+checkRefusedScanHorizon(const dram::TimingParams &t)
+{
+    // 96 reads piled onto three banks over four rows: most scans find
+    // every candidate blocked (tRCD, tRP, tRAS, data bus), so the scan
+    // horizon is decided entirely by memoized refusals.
+    sched::FrFcfs sched;
+    sched.configure(4, 1, t.banksPerChannel);
+    MemoryController mc(0, t, ControllerParams{}, sched);
+    tcm::Pcg32 rng(77);
+    for (std::uint64_t id = 0; id < 96; ++id)
+        mc.submitRead(static_cast<ThreadId>(id % 4), id,
+                      static_cast<BankId>(rng.nextBelow(3)),
+                      static_cast<RowId>(rng.nextBelow(4)),
+                      static_cast<ColId>(id % 64), 0);
+
+    std::uint64_t checked = 0;
+    Cycle lastIssue = 0;
+    bool issuedAny = false;
+    for (Cycle now = 0; now < 200'000 && mc.readLoad() > 0; ++now) {
+        const std::uint64_t before = commandsIssued(mc.stats());
+        mc.tick(now);
+        mc.completions().clear();
+        if (commandsIssued(mc.stats()) != before) {
+            lastIssue = now;
+            issuedAny = true;
+            continue;
+        }
+        // A scan ran at lastIssue + tCK (the bus and the scan slot both
+        // free then), refused every candidate, and nothing has issued
+        // since, so its bound still describes the channel.
+        if (!issuedAny || now < lastIssue + t.tCK ||
+            mc.nextArrivalAt() != kCycleNever)
+            continue;
+        const Cycle brute = bruteForceNextIssue(mc, mc.readQueue());
+        ASSERT_NE(brute, kCycleNever);
+        const Cycle expected = std::max(
+            now + 1, std::max(brute, mc.channel().cmdBusFreeAt()));
+        ASSERT_EQ(mc.nextEventAt(now + 1), expected) << "cycle " << now;
+        ++checked;
+    }
+    EXPECT_EQ(mc.stats().readsServiced, 96u);
+    EXPECT_GT(checked, 1000u);
+}
+
+} // namespace
+
+TEST(Controller, RowHitWriteIssuesWhileSameRowReadWaitsOutTwtr)
+{
+    // Right after a write, a read to the same open row must wait out
+    // tWTR while a second write to that row may go as soon as the data
+    // bus frees. RD and WR hits of one bank are separate legality
+    // classes: the refused RD must not decide the WR.
+    for (const dram::TimingParams &base :
+         {timing(), dram::protocols::ddr4_2400().derive()}) {
+        dram::TimingParams t = base;
+        t.refreshEnabled = false;
+        sched::FrFcfs sched;
+        sched.configure(2, 1, t.banksPerChannel);
+        MemoryController mc(0, t, ControllerParams{}, sched);
+        mc.submitWrite(0, 0, 5, 0, 0);
+        Cycle now = 0;
+        while (mc.stats().writesServiced == 0 && now < 10'000)
+            mc.tick(now++);
+        ASSERT_EQ(mc.stats().writesServiced, 1u);
+        mc.submitRead(1, 1, 0, 5, 1, now);
+        mc.submitWrite(1, 0, 5, 2, now);
+        Cycle secondWriteAt = kCycleNever;
+        Cycle readAt = kCycleNever;
+        for (; now < 20'000 && readAt == kCycleNever; ++now) {
+            mc.tick(now);
+            if (secondWriteAt == kCycleNever && mc.stats().writesServiced == 2)
+                secondWriteAt = now;
+            if (mc.stats().readsServiced == 1)
+                readAt = now;
+        }
+        ASSERT_NE(readAt, kCycleNever);
+        EXPECT_LT(secondWriteAt, readAt) << "tWTR " << t.tWTR;
+        EXPECT_EQ(mc.stats().activates, 1u); // both hit the open row
+    }
+}
+
+TEST(Controller, RefusedScanHorizonEqualsPerRequestMinimum)
+{
+    checkRefusedScanHorizon(timing());
+}
+
+TEST(Controller, RefusedScanHorizonEqualsPerRequestMinimumDdr4)
+{
+    dram::TimingParams t = dram::protocols::ddr4_2400().derive();
+    t.refreshEnabled = false;
+    checkRefusedScanHorizon(t);
 }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,6 +123,9 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
 
     for (const sched::SchedulerSpec &spec :
          {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()}) {
+        // The scan counters are deterministic work counts: every kernel
+        // and worker count must report the same ones as the first leg.
+        std::optional<prof::ScanCounters> first;
         for (bool cycleSkip : {false, true}) {
             for (int workers : {1, 2, 4}) {
                 std::string tag = std::string(sched::algoName(spec.algo)) +
@@ -135,6 +139,20 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
                 ASSERT_NE(prof.profile, nullptr) << tag;
                 EXPECT_TRUE(prof.profile->enabled) << tag;
                 expectIdentical(plain, prof, tag);
+
+                const prof::ScanCounters &scan = prof.profile->scan;
+                EXPECT_GT(scan.legalityProbes, 0u) << tag;
+                if (!first) {
+                    first = scan;
+                    continue;
+                }
+                EXPECT_EQ(scan.soaScans, first->soaScans) << tag;
+                EXPECT_EQ(scan.readsExamined, first->readsExamined) << tag;
+                EXPECT_EQ(scan.dominanceSkipped, first->dominanceSkipped)
+                    << tag;
+                EXPECT_EQ(scan.fallbackScans, first->fallbackScans) << tag;
+                EXPECT_EQ(scan.legalityProbes, first->legalityProbes)
+                    << tag;
             }
         }
     }
@@ -304,8 +322,8 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     r.runs = 1;
     auto kv = r.provenance();
     // Fixed order: 8 phase_ms keys, 4 skip summary keys, 5 horizon
-    // sources, 3 regimes, 3 scan counters = 23 entries.
-    ASSERT_EQ(kv.size(), 23u);
+    // sources, 3 regimes, 4 scan counters = 24 entries.
+    ASSERT_EQ(kv.size(), 24u);
     EXPECT_EQ(kv[0].first, "sched_tick_ms");
     EXPECT_EQ(kv[7].first, "serialize_ms");
     EXPECT_EQ(kv[8].first, "skips");
@@ -314,6 +332,7 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     EXPECT_EQ(kv[16].first, "horizon_end");
     EXPECT_EQ(kv[17].first, "dormant_cycles");
     EXPECT_EQ(kv[22].first, "fallback_scans");
+    EXPECT_EQ(kv[23].first, "legality_probes");
 }
 
 TEST(ProfilerReport, JsonAndPrintAreWellFormed)
