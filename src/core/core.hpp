@@ -104,6 +104,26 @@ class Core
     }
 
     /**
+     * Wake time of a dormant core: while the window is full and its
+     * head miss is not retireable, retire and fetch are both no-ops
+     * until the miss's data is ready. Returns that ready time when the
+     * miss has completed, kCycleNever while its completion is still
+     * undelivered (only a completeMiss can move it), and @p now when
+     * the core is not dormant — including a head miss ready this cycle.
+     */
+    Cycle
+    dormantWakeAt(Cycle now) const
+    {
+        if (window_.empty() || window_.front().plain != 0 ||
+            occupancy_ < params_.windowSize)
+            return now;
+        auto it = done_.find(window_.front().missId);
+        if (it == done_.end())
+            return kCycleNever;
+        return it->second > now ? it->second : now;
+    }
+
+    /**
      * Number of cycles starting at @p now (capped at @p maxSpan) that
      * this core can provably advance with no externally visible effect
      * other than counter updates, under the span guarantee that no
@@ -118,23 +138,10 @@ class Core
     Cycle
     silentSpan(Cycle now, Cycle maxSpan) const
     {
-        if (window_.empty())
-            return 0;
-        const Entry &head = window_.front();
-
-        // Regime 1 — dormant: window full, head miss not yet
-        // retireable. Both retire and fetch are complete no-ops until
-        // the miss's data becomes ready (or a completion arrives, which
-        // only happens at an executed cycle, ending the span anyway).
-        if (head.plain == 0 && occupancy_ >= params_.windowSize) {
-            auto it = done_.find(head.missId);
-            if (it == done_.end())
-                return maxSpan; // blocked until external completeMiss
-            if (it->second > now)
-                return maxSpan < it->second - now ? maxSpan
-                                                  : it->second - now;
-            return 0; // data ready: this tick retires
-        }
+        // Regime 1 — dormant (see dormantWakeAt).
+        const Cycle wake = dormantWakeAt(now);
+        if (wake > now)
+            return maxSpan < wake - now ? maxSpan : wake - now;
 
         // Regime 2 — pure streaming: a single plain bundle spans the
         // whole window, widths are symmetric, and the pending gap keeps
@@ -142,8 +149,8 @@ class Core
         // exactly fetchWidth plain instructions, leaving the window
         // value-identical (see fastForwardSilent).
         if (params_.fetchWidth == params_.retireWidth && havePending_ &&
-            window_.size() == 1 && head.plain > 0 &&
-            static_cast<int>(head.plain) == occupancy_ &&
+            window_.size() == 1 && window_.front().plain > 0 &&
+            static_cast<int>(window_.front().plain) == occupancy_ &&
             occupancy_ >= params_.retireWidth) {
             const std::uint64_t fw =
                 static_cast<std::uint64_t>(params_.fetchWidth);

@@ -660,8 +660,12 @@ MemoryController::nextEventAt(Cycle now) const
     // whether the per-cycle tick consults it), and no command can leave
     // before the command bus frees. Scans before that bound are no-ops:
     // priorities (ranks, marked bits, aging) affect which request wins
-    // a scan, never whether a command can legally issue.
-    if (!queue_.reads().empty() || !queue_.writes().empty())
+    // a scan, never whether a command can legally issue. A drain latch
+    // still set over empty queues (possible with a low watermark of 0)
+    // is released by the next scan, and the scans after it depend on
+    // that release, so it keeps the scan term armed too.
+    if (!queue_.reads().empty() || !queue_.writes().empty() ||
+        drainingWrites_)
         horizon = std::min(horizon,
                            std::max(nextTryAt_, channel_.cmdBusFreeAt()));
 

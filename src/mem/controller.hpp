@@ -254,6 +254,13 @@ class MemoryController : public QueueAccess
      */
     Cycle nextEventAt(Cycle now) const;
 
+    /**
+     * Reads and writes submitted so far. A caller caching nextEventAt
+     * re-queries it when this count moves: besides tick(), a submission
+     * is the only input that can pull the horizon earlier.
+     */
+    std::uint64_t submissions() const { return nextSeq_; }
+
     /** Completions produced so far; the simulator drains this each cycle. */
     std::vector<Completion> &completions() { return completions_; }
 

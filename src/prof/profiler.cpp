@@ -123,6 +123,7 @@ Profiler::report() const
     r.skipCycles = skipCycles_;
     r.skipLengths = skipLengths_;
     r.coreRegimes = coreRegimes_;
+    r.coreVisits = coreVisits_;
     r.gangLanes = gangLanes_;
     r.laneBusyNs = laneBusyNs_;
     r.laneTasks = laneTasks_;
@@ -183,6 +184,7 @@ ProfileReport::merge(const ProfileReport &other)
     for (std::size_t c = 0; c < other.coreRegimes.size(); ++c)
         for (int r = 0; r < kRegimeCount; ++r)
             coreRegimes[c][r] += other.coreRegimes[c][r];
+    coreVisits += other.coreVisits;
     scan.addFrom(other.scan);
     gangLanes = std::max(gangLanes, other.gangLanes);
     if (laneBusyNs.size() < other.laneBusyNs.size())
@@ -219,6 +221,7 @@ ProfileReport::provenance() const
                      static_cast<double>(regimeTotal(Regime::Streaming)));
     out.emplace_back("lockstep_cycles",
                      static_cast<double>(regimeTotal(Regime::Lockstep)));
+    out.emplace_back("core_visits", static_cast<double>(coreVisits));
     out.emplace_back("reads_examined",
                      static_cast<double>(scan.readsExamined));
     out.emplace_back("dominance_skipped",
@@ -272,6 +275,7 @@ ProfileReport::toJson() const
     out << "  \"regimes\": {\"dormant\": " << regimeTotal(Regime::Dormant)
         << ", \"streaming\": " << regimeTotal(Regime::Streaming)
         << ", \"lockstep\": " << regimeTotal(Regime::Lockstep) << "},\n";
+    out << "  \"core_visits\": " << coreVisits << ",\n";
     out << "  \"scan\": {\"soa_scans\": " << scan.soaScans
         << ", \"reads_examined\": " << scan.readsExamined
         << ", \"dominance_skipped\": " << scan.dominanceSkipped
@@ -334,6 +338,17 @@ ProfileReport::print(std::FILE *out) const
                      static_cast<unsigned long long>(dorm),
                      static_cast<unsigned long long>(stream),
                      static_cast<unsigned long long>(lock));
+    const std::uint64_t steps =
+        phaseCalls[static_cast<int>(Phase::SchedTick)];
+    if (coreVisits > 0 && steps > 0)
+        std::fprintf(out,
+                     "  kernel work: %.3f controller ticks, %.3f core "
+                     "visits per executed step\n",
+                     static_cast<double>(
+                         phaseCalls[static_cast<int>(Phase::CtrlTick)]) /
+                         static_cast<double>(steps),
+                     static_cast<double>(coreVisits) /
+                         static_cast<double>(steps));
     if (scan.soaScans + scan.fallbackScans > 0) {
         double skipPct =
             scan.readsExamined + scan.dominanceSkipped > 0

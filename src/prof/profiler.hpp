@@ -186,6 +186,9 @@ struct ProfileReport {
     stats::Histogram skipLengths = skipLengthLadder();
 
     std::vector<std::array<std::uint64_t, kRegimeCount>> coreRegimes;
+    /** Cores the serial kernels touched with a full tick or a
+     *  closed-form advance (see Profiler::addCoreVisits). */
+    std::uint64_t coreVisits = 0;
     ScanCounters scan;
 
     int gangLanes = 1;
@@ -247,6 +250,14 @@ class Profiler
         coreRegimes_[core][static_cast<int>(r)] += cycles;
     }
 
+    /**
+     * Count @p n core visits: a full tick or a closed-form advance of
+     * one core by the serial kernels. Deterministic at a seed, but
+     * kernel-specific — the per-cycle oracle visits every core every
+     * cycle, the event-horizon kernel only the active ones.
+     */
+    void addCoreVisits(std::uint64_t n) { coreVisits_ += n; }
+
     /** Cheap cumulative snapshot for the telemetry "simulator" lane. */
     struct Pulse {
         double wallMs = 0.0;
@@ -265,6 +276,7 @@ class Profiler
     std::array<std::uint64_t, kHorizonSourceCount> skipCycles_{};
     stats::Histogram skipLengths_ = skipLengthLadder();
     std::vector<std::array<std::uint64_t, kRegimeCount>> coreRegimes_;
+    std::uint64_t coreVisits_ = 0;
     int gangLanes_ = 1;
     std::vector<std::uint64_t> laneBusyNs_;
     std::vector<std::uint64_t> laneTasks_;

@@ -130,6 +130,35 @@ TEST(Core, SingleMissStallsRetirementUntilData)
     EXPECT_EQ(rig.counters.readMisses, 1u);
 }
 
+TEST(Core, DormantWakeAtFollowsTheHeadMiss)
+{
+    // One miss, then compute that fills the window behind it.
+    Rig rig({readAt(0, 0, 5, 0)});
+    EXPECT_EQ(rig.core->dormantWakeAt(0), 0u); // empty window: not dormant
+    rig.core->tick(0); // submits the miss
+    for (Cycle now = 1; now < 100; ++now)
+        rig.core->tick(now);
+    ASSERT_EQ(rig.core->windowOccupancy(), CoreParams{}.windowSize);
+
+    // Full window behind an undelivered miss: only a completion can
+    // wake the core.
+    EXPECT_EQ(rig.core->dormantWakeAt(100), kCycleNever);
+    EXPECT_EQ(rig.core->silentSpan(100, 50), 50u);
+
+    Cycle now = 100;
+    for (; rig.mc->completions().empty(); ++now)
+        rig.mc->tick(now);
+    const Cycle readyAt = rig.mc->completions().front().readyAt;
+    ASSERT_GT(readyAt, now);
+    rig.core->completeMiss(rig.mc->completions().front().missId, readyAt);
+
+    // Delivered: dormant until the data is ready, then due at once.
+    EXPECT_EQ(rig.core->dormantWakeAt(now), readyAt);
+    EXPECT_EQ(rig.core->silentSpan(now, kCycleNever), readyAt - now);
+    EXPECT_EQ(rig.core->dormantWakeAt(readyAt), readyAt);
+    EXPECT_EQ(rig.core->silentSpan(readyAt, 10), 0u);
+}
+
 TEST(Core, ComputeAheadOfMissRetiresImmediately)
 {
     Rig rig({readAt(9, 0, 5, 0)});

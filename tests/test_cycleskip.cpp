@@ -5,7 +5,11 @@
  * bit-identical to the per-cycle oracle loop — same RunResult (IPCs,
  * metrics, protocol verdict), same telemetry stream byte for byte, and
  * the same DRAM command trace as the committed golden file. Any
- * divergence at all, in any of the five paper schedulers, fails.
+ * divergence at all, in any of the five paper schedulers, fails. The
+ * configurations cover a small mixed-intensity system, the paper's
+ * 24-core 4-channel system under an all-intensive mix (where parked
+ * cores and per-controller wake-ups dominate), and an audited DDR4
+ * all-writes system with every controller policy engaged.
  */
 
 #include <cstdio>
@@ -67,6 +71,54 @@ telemetryBytes(const sim::RunResult &r, const std::string &tag)
     return bytes;
 }
 
+/**
+ * Run @p mix under @p spec once per kernel (cycleSkip on and off, the
+ * rest of @p config shared) and require bit-identical results: every
+ * RunResult field, a clean protocol verdict, and the telemetry JSONL
+ * byte for byte.
+ */
+void
+expectKernelsIdentical(sim::SystemConfig config,
+                       const std::vector<workload::ThreadProfile> &mix,
+                       const sched::SchedulerSpec &spec,
+                       const sim::ExperimentScale &scale,
+                       const std::string &tag)
+{
+    sim::SystemConfig onCfg = config;
+    onCfg.cycleSkip = true;
+    sim::SystemConfig offCfg = config;
+    offCfg.cycleSkip = false;
+    // Separate alone-IPC caches: the alone runs themselves must also be
+    // identical across modes for ipcAlone to match exactly.
+    sim::AloneIpcCache onCache(onCfg, scale.warmup, scale.measure);
+    sim::AloneIpcCache offCache(offCfg, scale.warmup, scale.measure);
+
+    sim::RunResult on =
+        sim::runWorkload(onCfg, mix, spec, scale, onCache, /*seed=*/13);
+    sim::RunResult off =
+        sim::runWorkload(offCfg, mix, spec, scale, offCache, /*seed=*/13);
+
+    ASSERT_EQ(on.ipcShared.size(), off.ipcShared.size()) << tag;
+    for (std::size_t t = 0; t < on.ipcShared.size(); ++t) {
+        EXPECT_EQ(on.ipcShared[t], off.ipcShared[t]) << tag << " thread " << t;
+        EXPECT_EQ(on.ipcAlone[t], off.ipcAlone[t]) << tag << " thread " << t;
+    }
+    EXPECT_EQ(on.metrics.weightedSpeedup, off.metrics.weightedSpeedup) << tag;
+    EXPECT_EQ(on.metrics.maxSlowdown, off.metrics.maxSlowdown) << tag;
+    EXPECT_EQ(on.metrics.harmonicSpeedup, off.metrics.harmonicSpeedup) << tag;
+    EXPECT_EQ(on.metrics.speedups, off.metrics.speedups) << tag;
+    EXPECT_EQ(on.metrics.slowdowns, off.metrics.slowdowns) << tag;
+
+    EXPECT_EQ(on.protocolViolations, 0u) << tag << on.protocolReport;
+    EXPECT_EQ(off.protocolViolations, 0u) << tag << off.protocolReport;
+
+    // The full telemetry stream — interval samples, scheduler-decision
+    // events, lifecycle latencies — must match byte for byte: any
+    // skipped scheduler event or shifted sample cycle shows up here.
+    EXPECT_EQ(telemetryBytes(on, tag + "_on"), telemetryBytes(off, tag + "_off"))
+        << tag;
+}
+
 class CycleSkipDifferential
     : public testing::TestWithParam<sched::SchedulerSpec>
 {
@@ -86,7 +138,6 @@ schedName(const testing::TestParamInfo<sched::SchedulerSpec> &info)
 
 TEST_P(CycleSkipDifferential, RunResultsAreBitIdentical)
 {
-    sched::SchedulerSpec spec = GetParam();
     sim::ExperimentScale scale;
     scale.warmup = 20'000;
     scale.measure = 120'000;
@@ -95,45 +146,58 @@ TEST_P(CycleSkipDifferential, RunResultsAreBitIdentical)
     // regimes (dormant memory-bound threads and streaming compute-bound
     // threads) plus the lockstep boundary cases between them.
     auto mix = workload::randomMix(6, 0.5, /*seed=*/42);
+    expectKernelsIdentical(diffConfig(true), mix, GetParam(), scale,
+                           schedName({GetParam(), 0}));
+}
 
-    sim::SystemConfig onCfg = diffConfig(true);
-    sim::SystemConfig offCfg = diffConfig(false);
-    // Separate alone-IPC caches: the alone runs themselves must also be
-    // identical across modes for ipcAlone to match exactly.
-    sim::AloneIpcCache onCache(onCfg, scale.warmup, scale.measure);
-    sim::AloneIpcCache offCache(offCfg, scale.warmup, scale.measure);
-
-    sim::RunResult on =
-        sim::runWorkload(onCfg, mix, spec, scale, onCache, /*seed=*/13);
-    sim::RunResult off =
-        sim::runWorkload(offCfg, mix, spec, scale, offCache, /*seed=*/13);
-
-    ASSERT_EQ(on.ipcShared.size(), off.ipcShared.size());
-    for (std::size_t t = 0; t < on.ipcShared.size(); ++t) {
-        EXPECT_EQ(on.ipcShared[t], off.ipcShared[t]) << "thread " << t;
-        EXPECT_EQ(on.ipcAlone[t], off.ipcAlone[t]) << "thread " << t;
-    }
-    EXPECT_EQ(on.metrics.weightedSpeedup, off.metrics.weightedSpeedup);
-    EXPECT_EQ(on.metrics.maxSlowdown, off.metrics.maxSlowdown);
-    EXPECT_EQ(on.metrics.harmonicSpeedup, off.metrics.harmonicSpeedup);
-    EXPECT_EQ(on.metrics.speedups, off.metrics.speedups);
-    EXPECT_EQ(on.metrics.slowdowns, off.metrics.slowdowns);
-
-    EXPECT_EQ(on.protocolViolations, 0u) << on.protocolReport;
-    EXPECT_EQ(off.protocolViolations, 0u) << off.protocolReport;
-
-    // The full telemetry stream — interval samples, scheduler-decision
-    // events, lifecycle latencies — must match byte for byte: any
-    // skipped scheduler event or shifted sample cycle shows up here.
-    std::string name = schedName(testing::TestParamInfo<sched::SchedulerSpec>(
-        GetParam(), 0));
-    EXPECT_EQ(telemetryBytes(on, name + "_on"),
-              telemetryBytes(off, name + "_off"));
+TEST_P(CycleSkipDifferential, FullSystemIntensiveMixIsBitIdentical)
+{
+    // The paper's 24-core, 4-channel system with every thread memory
+    // intensive: most cores sit parked on a miss and each executed
+    // cycle is due on about one controller, so parking, timer wake-ups
+    // and per-controller gating carry the run.
+    sim::ExperimentScale scale;
+    scale.warmup = 10'000;
+    scale.measure = 50'000;
+    sim::SystemConfig config = diffConfig(true);
+    config.numCores = 24;
+    config.numChannels = 4;
+    auto mix = workload::randomMix(24, 1.0, /*seed=*/7);
+    expectKernelsIdentical(config, mix, GetParam(), scale,
+                           schedName({GetParam(), 0}) + "_wide");
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperSchedulers, CycleSkipDifferential,
                          testing::ValuesIn(sim::paperSchedulers()),
                          schedName);
+
+TEST(CycleSkipDifferentialWrites, AuditedDdr4WriteMixIsBitIdentical)
+{
+    // Every thread writing on a DDR4 bank-group part with Strict drain,
+    // speculative precharge and power-down: controllers go due on drain
+    // latches, idle precharges and rank power transitions, not just on
+    // reads, with the checker and full telemetry watching.
+    sim::ExperimentScale scale;
+    scale.warmup = 10'000;
+    scale.measure = 60'000;
+    sim::SystemConfig config = diffConfig(true);
+    config.numCores = 8;
+    config.numChannels = 2;
+    ASSERT_EQ(config.selectProtocol("ddr4-2400"), "");
+    config.controller.writeDrain.mode = mem::WriteDrainMode::Strict;
+    config.controller.speculativePrecharge = true;
+    config.controller.powerDownIdleCycles = 200;
+    for (double intensity : {0.5, 1.0}) {
+        auto mix = workload::randomMix(8, intensity, /*seed=*/5);
+        for (workload::ThreadProfile &t : mix)
+            t.writeFraction = 1.0;
+        expectKernelsIdentical(config, mix, sched::SchedulerSpec::blissSpec(),
+                               scale,
+                               "bliss_writes_i" +
+                                   std::to_string(static_cast<int>(
+                                       intensity * 100)));
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Command-stream identity: the per-cycle oracle must reproduce the

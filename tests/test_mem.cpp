@@ -660,16 +660,29 @@ TEST(Controller, PowerDownDisabledByDefault)
 
 namespace {
 
-/** Like trafficFingerprint, with every new policy engaged. */
+/** How policyFingerprint drives the controller. */
+enum class Pacing
+{
+    EveryCycle, //!< tick() at every cycle
+    OwnHorizon, //!< tick() only at cycles >= the controller's nextEventAt
+};
+
+/**
+ * Like trafficFingerprint, with every new policy engaged. OwnHorizon
+ * paces the controller the way the event-horizon kernel does: its
+ * nextEventAt is re-queried after every tick and every submission, and
+ * no other tick happens.
+ */
 std::vector<Cycle>
-policyFingerprint(bool idleSkip)
+policyFingerprint(bool idleSkip, Pacing pacing = Pacing::EveryCycle,
+                  int lowWatermark = 1)
 {
     dram::TimingParams t = timing(/*refresh=*/true);
     ControllerParams p;
     p.idleSkip = idleSkip;
     p.writeDrain.mode = WriteDrainMode::Strict;
     p.writeDrain.highWatermark = 4;
-    p.writeDrain.lowWatermark = 1;
+    p.writeDrain.lowWatermark = lowWatermark;
     p.speculativePrecharge = true;
     p.powerDownIdleCycles = 700;
     sched::FrFcfs sched;
@@ -679,11 +692,13 @@ policyFingerprint(bool idleSkip)
     tcm::Pcg32 rng(999);
     std::vector<Cycle> fingerprint;
     std::uint64_t id = 1;
+    Cycle due = mc.nextEventAt(0);
     for (Cycle now = 0; now < 60'000; ++now) {
         // Short bursts with long dead stretches: the queues fully drain
         // between bursts, so speculative precharge and power-down
         // actually engage, and each burst wakes the rank again.
         bool active = now % 6000 < 600;
+        const std::uint64_t submitted = mc.submissions();
         if (active && rng.nextBool(0.08) && mc.canAcceptRead())
             mc.submitRead(static_cast<ThreadId>(rng.nextBelow(4)), id++,
                           static_cast<BankId>(rng.nextBelow(4)),
@@ -693,7 +708,16 @@ policyFingerprint(bool idleSkip)
             mc.submitWrite(static_cast<ThreadId>(rng.nextBelow(4)),
                            static_cast<BankId>(rng.nextBelow(4)),
                            static_cast<RowId>(rng.nextBelow(4)), 0, now);
-        mc.tick(now);
+        if (pacing == Pacing::OwnHorizon) {
+            if (mc.submissions() != submitted)
+                due = mc.nextEventAt(now);
+            if (now < due)
+                continue;
+            mc.tick(now);
+            due = mc.nextEventAt(now + 1);
+        } else {
+            mc.tick(now);
+        }
         for (const auto &c : mc.completions())
             fingerprint.push_back(c.readyAt);
         mc.completions().clear();
@@ -726,6 +750,74 @@ TEST(Controller, IdleSkipIsCycleExactWithPoliciesEngaged)
     EXPECT_GE(skipped[skipped.size() - 2], 1u); // powerDowns
     EXPECT_GE(skipped[skipped.size() - 3], 1u); // spec precharges
     EXPECT_GE(skipped[skipped.size() - 4], 1u); // drain latches
+}
+
+TEST(Controller, PacedByOwnHorizonMatchesEveryCycle)
+{
+    // The event-horizon kernel ticks each controller only once its own
+    // nextEventAt is due (re-queried after every tick and submission),
+    // not at every executed cycle: that pacing must reproduce the
+    // every-cycle completions and statistics exactly, with refresh,
+    // Strict drain, speculative precharge and power-down engaged, at a
+    // low watermark of 1 and of 0 (see DrainLatchReleaseIsOnTheHorizon).
+    for (int low : {1, 0}) {
+        const std::vector<Cycle> stepped =
+            policyFingerprint(false, Pacing::EveryCycle, low);
+        EXPECT_EQ(policyFingerprint(true, Pacing::OwnHorizon, low), stepped)
+            << "lowWatermark " << low;
+        EXPECT_EQ(policyFingerprint(false, Pacing::OwnHorizon, low), stepped)
+            << "lowWatermark " << low;
+    }
+}
+
+namespace {
+
+/**
+ * Ready time of a read that arrives together with a write after a
+ * Strict drain emptied the write queue, with a low watermark of 0 and
+ * no other policy armed: whether the read waits behind the write
+ * depends on the drain latch having been released in between.
+ */
+Cycle
+readAfterDrainReadyAt(Pacing pacing)
+{
+    dram::TimingParams t = timing();
+    ControllerParams p;
+    p.writeDrain.mode = WriteDrainMode::Strict;
+    p.writeDrain.highWatermark = 2;
+    p.writeDrain.lowWatermark = 0;
+    sched::FrFcfs sched;
+    sched.configure(1, 1, t.banksPerChannel);
+    MemoryController mc(0, t, p, sched);
+
+    mc.submitWrite(0, 0, 5, 0, 0);
+    mc.submitWrite(0, 0, 5, 1, 0);
+    Cycle due = mc.nextEventAt(0);
+    for (Cycle now = 0; now < 3000; ++now) {
+        if (now == 1000) {
+            mc.submitWrite(0, 1, 7, 0, now);
+            mc.submitRead(0, 1, 2, 3, 0, now);
+            due = mc.nextEventAt(now);
+        }
+        if (pacing == Pacing::OwnHorizon && now < due)
+            continue;
+        mc.tick(now);
+        due = mc.nextEventAt(now + 1);
+    }
+    EXPECT_EQ(mc.stats().writesServiced, 3u);
+    EXPECT_EQ(mc.completions().size(), 1u);
+    return mc.completions().empty() ? kCycleNever
+                                    : mc.completions().front().readyAt;
+}
+
+} // namespace
+
+TEST(Controller, DrainLatchReleaseIsOnTheHorizon)
+{
+    // Releasing a drain latch is state the next scan depends on, so the
+    // release must be an event even when the queues are already empty.
+    EXPECT_EQ(readAfterDrainReadyAt(Pacing::OwnHorizon),
+              readAfterDrainReadyAt(Pacing::EveryCycle));
 }
 
 TEST(Controller, NextEventAtNeverSkipsWorkWithPoliciesEngaged)

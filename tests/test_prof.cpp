@@ -126,6 +126,10 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
         // The scan counters are deterministic work counts: every kernel
         // and worker count must report the same ones as the first leg.
         std::optional<prof::ScanCounters> first;
+        // Core visits are deterministic too, but kernel-specific: the
+        // oracle visits every core every cycle, the event-horizon
+        // kernel only the cores it does not park.
+        std::uint64_t oracleVisits = 0;
         for (bool cycleSkip : {false, true}) {
             for (int workers : {1, 2, 4}) {
                 std::string tag = std::string(sched::algoName(spec.algo)) +
@@ -139,6 +143,22 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
                 ASSERT_NE(prof.profile, nullptr) << tag;
                 EXPECT_TRUE(prof.profile->enabled) << tag;
                 expectIdentical(plain, prof, tag);
+
+                if (workers == 1) {
+                    const std::uint64_t visits = prof.profile->coreVisits;
+                    sim::RunResult again =
+                        runAt(spec, cycleSkip, workers, true, scale, mix);
+                    ASSERT_NE(again.profile, nullptr) << tag;
+                    EXPECT_EQ(again.profile->coreVisits, visits) << tag;
+                    if (!cycleSkip) {
+                        EXPECT_EQ(visits, 6u * (scale.warmup + scale.measure))
+                            << tag;
+                        oracleVisits = visits;
+                    } else {
+                        EXPECT_GT(visits, 0u) << tag;
+                        EXPECT_LT(visits, oracleVisits) << tag;
+                    }
+                }
 
                 const prof::ScanCounters &scan = prof.profile->scan;
                 EXPECT_GT(scan.legalityProbes, 0u) << tag;
@@ -322,8 +342,8 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     r.runs = 1;
     auto kv = r.provenance();
     // Fixed order: 8 phase_ms keys, 4 skip summary keys, 5 horizon
-    // sources, 3 regimes, 4 scan counters = 24 entries.
-    ASSERT_EQ(kv.size(), 24u);
+    // sources, 3 regimes, core visits, 4 scan counters = 25 entries.
+    ASSERT_EQ(kv.size(), 25u);
     EXPECT_EQ(kv[0].first, "sched_tick_ms");
     EXPECT_EQ(kv[7].first, "serialize_ms");
     EXPECT_EQ(kv[8].first, "skips");
@@ -331,8 +351,9 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     EXPECT_EQ(kv[12].first, "horizon_scheduler");
     EXPECT_EQ(kv[16].first, "horizon_end");
     EXPECT_EQ(kv[17].first, "dormant_cycles");
-    EXPECT_EQ(kv[22].first, "fallback_scans");
-    EXPECT_EQ(kv[23].first, "legality_probes");
+    EXPECT_EQ(kv[20].first, "core_visits");
+    EXPECT_EQ(kv[23].first, "fallback_scans");
+    EXPECT_EQ(kv[24].first, "legality_probes");
 }
 
 TEST(ProfilerReport, JsonAndPrintAreWellFormed)
@@ -353,6 +374,7 @@ TEST(ProfilerReport, JsonAndPrintAreWellFormed)
               std::string::npos);
     EXPECT_NE(json.find("\"horizon\""), std::string::npos);
     EXPECT_NE(json.find("\"regimes\""), std::string::npos);
+    EXPECT_NE(json.find("\"core_visits\""), std::string::npos);
 
     // print() renders through the SystemReport path without tripping on
     // any section; the disabled default renders nothing at all.
