@@ -1,6 +1,7 @@
 #include "core/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace tcm::core {
@@ -12,7 +13,11 @@ Core::Core(ThreadId id, const CoreParams &params, TraceSource &trace,
       params_(params),
       trace_(&trace),
       controllers_(std::move(controllers)),
-      counters_(counters)
+      counters_(counters),
+      doneAt_(std::bit_ceil(static_cast<std::size_t>(
+                  std::max(params.windowSize, 1))),
+              kCycleNever),
+      doneMask_(doneAt_.size() - 1)
 {
     assert(counters_ != nullptr);
 }
@@ -20,7 +25,7 @@ Core::Core(ThreadId id, const CoreParams &params, TraceSource &trace,
 void
 Core::completeMiss(std::uint64_t missId, Cycle readyAt)
 {
-    done_[missId] = readyAt;
+    doneAt_[missId & doneMask_] = readyAt;
 }
 
 void
@@ -38,10 +43,10 @@ Core::retire(Cycle now)
             if (head.plain == 0)
                 window_.pop_front();
         } else {
-            auto it = done_.find(head.missId);
-            if (it == done_.end() || it->second > now)
+            Cycle &ready = doneAt_[head.missId & doneMask_];
+            if (ready > now)
                 break; // head-of-window miss still outstanding
-            done_.erase(it);
+            ready = kCycleNever;
             window_.pop_front();
             occupancy_ -= 1;
             counters_->instructions += 1;
@@ -126,11 +131,9 @@ Core::wouldSubmitAt(Cycle now)
     // Fast negative: fully stalled window (head miss undone) admits no
     // fetch at all.
     if (occupancy_ >= params_.windowSize && !window_.empty() &&
-        window_.front().plain == 0) {
-        auto it = done_.find(window_.front().missId);
-        if (it == done_.end() || it->second > now)
-            return false;
-    }
+        window_.front().plain == 0 &&
+        missReadyAt(window_.front().missId) > now)
+        return false;
 
     // --- exact peek: retire (no mutation) ---
     int slots = params_.retireWidth;
@@ -147,8 +150,7 @@ Core::wouldSubmitAt(Cycle now)
                 break;
             ++idx;
         } else {
-            auto it = done_.find(e.missId);
-            if (it == done_.end() || it->second > now)
+            if (missReadyAt(e.missId) > now)
                 break;
             freed += 1;
             slots -= 1;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -94,10 +93,10 @@ class Core
         Cycle start = now;
         if (occupancy_ >= params_.windowSize && !window_.empty() &&
             window_.front().plain == 0) {
-            auto it = done_.find(window_.front().missId);
-            if (it == done_.end())
+            const Cycle ready = missReadyAt(window_.front().missId);
+            if (ready == kCycleNever)
                 return kCycleNever;
-            start = it->second > now ? it->second : now;
+            start = ready > now ? ready : now;
         }
         return start +
                pendingGap_ / static_cast<std::uint64_t>(params_.fetchWidth);
@@ -117,10 +116,8 @@ class Core
         if (window_.empty() || window_.front().plain != 0 ||
             occupancy_ < params_.windowSize)
             return now;
-        auto it = done_.find(window_.front().missId);
-        if (it == done_.end())
-            return kCycleNever;
-        return it->second > now ? it->second : now;
+        const Cycle ready = missReadyAt(window_.front().missId);
+        return ready > now ? ready : now;
     }
 
     /**
@@ -213,6 +210,13 @@ class Core
     void retire(Cycle now);
     void fetch(Cycle now);
 
+    /** Data-ready cycle of in-window miss @p missId; kCycleNever until
+     *  its completion is delivered. */
+    Cycle missReadyAt(std::uint64_t missId) const
+    {
+        return doneAt_[missId & doneMask_];
+    }
+
     ThreadId id_;
     CoreParams params_;
     TraceSource *trace_;
@@ -222,8 +226,12 @@ class Core
     std::deque<Entry> window_;
     int occupancy_ = 0;
 
-    // Completion times for misses whose data has been scheduled.
-    std::unordered_map<std::uint64_t, Cycle> done_;
+    // Completion times of in-window misses, kCycleNever until delivered.
+    // In-window miss ids are contiguous and at most windowSize apart, so
+    // a power-of-two ring of at least windowSize slots indexed by the id
+    // never holds two live misses in one slot; retire frees the slot.
+    std::vector<Cycle> doneAt_;
+    std::uint64_t doneMask_;
     std::uint64_t nextMissId_ = 1;
 
     // Trace cursor: pendingGap_ plain instructions precede pendingAccess_.

@@ -6,10 +6,14 @@
 namespace tcm::dram {
 
 Channel::Channel(const TimingParams &timing, ChannelId id)
-    : timing_(&timing), id_(id)
+    : timing_(&timing), id_(id), banksPerRank_(timing.banksPerRank())
 {
     assert(timing.banksPerChannel % timing.ranksPerChannel == 0);
     assert(timing.banksPerRank() % timing.bankGroupsPerRank == 0);
+    geom_.reserve(timing.banksPerChannel);
+    for (int b = 0; b < timing.banksPerChannel; ++b)
+        geom_.push_back(BankGeom{b / banksPerRank_, timing.groupOfBank(b),
+                                 timing.groupInRank(b)});
     ranks_.reserve(timing.ranksPerChannel);
     for (int r = 0; r < timing.ranksPerChannel; ++r)
         ranks_.emplace_back(timing);
@@ -64,7 +68,7 @@ Channel::canIssue(CommandKind kind, BankId b, Cycle now) const
     switch (kind) {
       case CommandKind::Activate:
         return bank.canActivate(now) &&
-               rank.canActivate(now, timing_->groupInRank(b));
+               rank.canActivate(now, geom_[b].groupInRank);
       case CommandKind::Read: {
         if (!rank.commandsAllowed(now))
             return false;
@@ -73,7 +77,7 @@ Channel::canIssue(CommandKind kind, BankId b, Cycle now) const
         if (lastBurstRank_ >= 0 && lastBurstRank_ != rankOf(b))
             bus_free += timing_->tRTRS;
         return bank.canRead(now) && rank.canRead(now) &&
-               now >= colAllowedAt(timing_->groupOfBank(b)) &&
+               now >= colAllowedAt(geom_[b].group) &&
                data_start >= bus_free;
       }
       case CommandKind::Write: {
@@ -84,7 +88,7 @@ Channel::canIssue(CommandKind kind, BankId b, Cycle now) const
         if (lastBurstRank_ >= 0 && lastBurstRank_ != rankOf(b))
             bus_free += timing_->tRTRS;
         return bank.canWrite(now) &&
-               now >= colAllowedAt(timing_->groupOfBank(b)) &&
+               now >= colAllowedAt(geom_[b].group) &&
                data_start >= bus_free;
       }
       case CommandKind::Precharge:
@@ -96,8 +100,8 @@ Channel::canIssue(CommandKind kind, BankId b, Cycle now) const
         if (!rank.commandsAllowed(now))
             return false;
         int r = rankOf(b);
-        int base = r * timing_->banksPerRank();
-        for (int i = 0; i < timing_->banksPerRank(); ++i)
+        int base = r * banksPerRank_;
+        for (int i = 0; i < banksPerRank_; ++i)
             if (!banks_[base + i].canActivate(now))
                 return false;
         return true;
@@ -124,7 +128,7 @@ Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
     switch (kind) {
       case CommandKind::Activate:
         res.occupancy = bank.activate(now, row);
-        rank.recordActivate(now, timing_->groupInRank(b));
+        rank.recordActivate(now, geom_[b].groupInRank);
         break;
       case CommandKind::Read:
         res.occupancy = bank.read(now);
@@ -132,7 +136,7 @@ Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
         res.dataEnd = res.dataStart + timing_->tBURST;
         dataBusFreeAt_ = res.dataEnd;
         lastColCmdAt_ = now;
-        lastColGroup_ = timing_->groupOfBank(b);
+        lastColGroup_ = geom_[b].group;
         lastBurstRank_ = rankOf(b);
         break;
       case CommandKind::Write:
@@ -142,7 +146,7 @@ Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
         res.dataEnd = res.dataStart + timing_->tBURST;
         dataBusFreeAt_ = res.dataEnd;
         lastColCmdAt_ = now;
-        lastColGroup_ = timing_->groupOfBank(b);
+        lastColGroup_ = geom_[b].group;
         lastBurstRank_ = rankOf(b);
         break;
       case CommandKind::Precharge:
@@ -150,8 +154,8 @@ Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
         break;
       case CommandKind::Refresh: {
         int r = rankOf(b);
-        int base = r * timing_->banksPerRank();
-        for (int i = 0; i < timing_->banksPerRank(); ++i)
+        int base = r * banksPerRank_;
+        for (int i = 0; i < banksPerRank_; ++i)
             banks_[base + i].refresh(now);
         res.occupancy = timing_->tRFC;
         break;
@@ -185,8 +189,8 @@ Channel::allBanksPrecharged() const
 bool
 Channel::rankPrecharged(int rank) const
 {
-    int base = rank * timing_->banksPerRank();
-    for (int i = 0; i < timing_->banksPerRank(); ++i)
+    int base = rank * banksPerRank_;
+    for (int i = 0; i < banksPerRank_; ++i)
         if (!banks_[base + i].precharged())
             return false;
     return true;
@@ -206,7 +210,7 @@ Channel::earliestIssue(CommandKind kind, BankId b) const
         if (!bank.precharged())
             return kCycleNever;
         t = std::max(t, bank.actAllowedAt());
-        t = std::max(t, rank.earliestActivate(timing_->groupInRank(b)));
+        t = std::max(t, rank.earliestActivate(geom_[b].groupInRank));
         return t;
       case CommandKind::Read:
         if (bank.precharged())
@@ -214,7 +218,7 @@ Channel::earliestIssue(CommandKind kind, BankId b) const
         t = std::max(t, rank.earliestCommandsAllowed());
         t = std::max(t, bank.rdAllowedAt());
         t = std::max(t, rank.earliestRead());
-        t = std::max(t, colAllowedAt(timing_->groupOfBank(b)));
+        t = std::max(t, colAllowedAt(geom_[b].group));
         if (dataBusFreeAt_ + rtrs > timing_->tCL)
             t = std::max(t, dataBusFreeAt_ + rtrs - timing_->tCL);
         return t;
@@ -223,7 +227,7 @@ Channel::earliestIssue(CommandKind kind, BankId b) const
             return kCycleNever;
         t = std::max(t, rank.earliestCommandsAllowed());
         t = std::max(t, bank.wrAllowedAt());
-        t = std::max(t, colAllowedAt(timing_->groupOfBank(b)));
+        t = std::max(t, colAllowedAt(geom_[b].group));
         if (dataBusFreeAt_ + rtrs > timing_->tCWL)
             t = std::max(t, dataBusFreeAt_ + rtrs - timing_->tCWL);
         return t;
@@ -236,9 +240,9 @@ Channel::earliestIssue(CommandKind kind, BankId b) const
         if (!rankPrecharged(rankOf(b)))
             return kCycleNever;
         int r = rankOf(b);
-        int base = r * timing_->banksPerRank();
+        int base = r * banksPerRank_;
         t = std::max(t, rank.earliestCommandsAllowed());
-        for (int i = 0; i < timing_->banksPerRank(); ++i)
+        for (int i = 0; i < banksPerRank_; ++i)
             t = std::max(t, banks_[base + i].actAllowedAt());
         return t;
       }

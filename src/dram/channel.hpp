@@ -72,7 +72,7 @@ class Channel
     const Bank &bank(BankId b) const { return banks_[b]; }
 
     /** Rank that bank @p b belongs to. */
-    int rankOf(BankId b) const { return b / timing_->banksPerRank(); }
+    int rankOf(BankId b) const { return geom_[b].rank; }
 
     /** True if the command bus can accept a command at @p now. */
     bool cmdBusFree(Cycle now) const { return now >= cmdBusFreeAt_; }
@@ -148,8 +148,19 @@ class Channel
      */
     Cycle colAllowedAt(int group) const;
 
+    /** Where a bank sits, derived once from the timing geometry so the
+     *  per-command paths index instead of dividing. */
+    struct BankGeom
+    {
+        int rank;        //!< rankOf
+        int group;       //!< TimingParams::groupOfBank
+        int groupInRank; //!< TimingParams::groupInRank
+    };
+
     const TimingParams *timing_;
     ChannelId id_;
+    int banksPerRank_;
+    std::vector<BankGeom> geom_;
     std::vector<Rank> ranks_;
     std::vector<Bank> banks_;
     std::vector<CommandObserver *> observers_;

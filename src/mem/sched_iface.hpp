@@ -103,7 +103,17 @@ class SchedulerPolicy
         queues_.at(ch) = queue;
     }
 
-    /** Simulator publishes per-core counters (for MPKI-style metrics). */
+    /**
+     * Simulator publishes per-core counters (for MPKI-style metrics).
+     *
+     * Read contract: a policy may read the counters only inside a
+     * tick(now) with now >= its own nextEventAt() — never from an on*
+     * hook, a knob, or a tick before its horizon. The event-horizon
+     * kernel applies cores' skipped streaming cycles lazily and brings
+     * the counters up to date (through cycle now - 1) only before such
+     * a due tick; elsewhere they may lag. TCM and Tournament read them
+     * at their quantum boundaries, which their nextEventAt reports.
+     */
     virtual void
     setCoreCounters(const std::vector<CoreCounters> *counters)
     {

@@ -186,8 +186,9 @@ struct ProfileReport {
     stats::Histogram skipLengths = skipLengthLadder();
 
     std::vector<std::array<std::uint64_t, kRegimeCount>> coreRegimes;
-    /** Cores the serial kernels touched with a full tick or a
-     *  closed-form advance (see Profiler::addCoreVisits). */
+    /** Cores the serial kernels touched with a full tick, a
+     *  closed-form advance or a parked core's catch-up (see
+     *  Profiler::addCoreVisits). */
     std::uint64_t coreVisits = 0;
     ScanCounters scan;
 
@@ -252,9 +253,12 @@ class Profiler
 
     /**
      * Count @p n core visits: a full tick or a closed-form advance of
-     * one core by the serial kernels. Deterministic at a seed, but
-     * kernel-specific — the per-cycle oracle visits every core every
-     * cycle, the event-horizon kernel only the active ones.
+     * one core by the serial kernels, including the catch-up that
+     * applies a parked streaming core's skipped cycles in one closed
+     * form. Deterministic at a seed, but kernel-specific — the
+     * per-cycle oracle visits every core every cycle, the event-horizon
+     * kernel only the active ones plus one visit per non-empty
+     * catch-up.
      */
     void addCoreVisits(std::uint64_t n) { coreVisits_ += n; }
 

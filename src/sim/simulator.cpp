@@ -120,6 +120,7 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
     coreDue_.assign(numThreads, 0);
     parkedSince_.assign(numThreads, 0);
     activeCores_.assign((static_cast<std::size_t>(numThreads) + 63) / 64, 0);
+    streamingCores_.assign(activeCores_.size(), 0);
     for (std::size_t i = 0; i < cores_.size(); ++i)
         setCoreActive(i, true);
 
@@ -336,11 +337,10 @@ Simulator::executeCycle(Cycle now, mem::SchedulerPolicy *active)
 
 template <typename F>
 void
-Simulator::forEachActive(F &&f)
+Simulator::forEachCore(const std::vector<std::uint64_t> &mask, F &&f)
 {
-    for (std::size_t w = 0; w < activeCores_.size(); ++w)
-        for (std::uint64_t bits = activeCores_[w]; bits != 0;
-             bits &= bits - 1)
+    for (std::size_t w = 0; w < mask.size(); ++w)
+        for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
             f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
 }
 
@@ -348,18 +348,46 @@ bool
 Simulator::retestCore(std::size_t i, Cycle now, Cycle end)
 {
     const core::Core &core = *cores_[i];
-    const Cycle wake = core.dormantWakeAt(now);
-    if (wake > now) {
-        // Dormant: every tick until the wake time is a no-op, so the
-        // core leaves the active set until then.
-        setCoreActive(i, false);
-        coreDue_[i] = wake;
-        parkedSince_[i] = now;
-        wakeMin_ = std::min(wakeMin_, wake);
-        return false;
+    Cycle due = core.dormantWakeAt(now);
+    if (due == now) {
+        const Cycle span = core.silentSpan(now, end - now);
+        if (span <= 1) {
+            coreDue_[i] = now + span;
+            return true;
+        }
+        // Streaming: the span advances by the closed form, which only
+        // needs applying before someone reads the core's counters (see
+        // catchUpStreaming).
+        due = now + span;
+        setCoreStreaming(i, true);
     }
-    coreDue_[i] = now + core.silentSpan(now, end - now);
-    return true;
+    // Dormant or streaming: the core leaves the active set until its
+    // due time.
+    setCoreActive(i, false);
+    coreDue_[i] = due;
+    parkedSince_[i] = now;
+    wakeMin_ = std::min(wakeMin_, due);
+    return false;
+}
+
+void
+Simulator::catchUpCore(std::size_t i, Cycle to)
+{
+    const Cycle k = to - parkedSince_[i];
+    if (k == 0)
+        return;
+    cores_[i]->fastForwardSilent(k);
+    parkedSince_[i] = to;
+    if (prof_) {
+        prof_->addRegime(i, prof::Regime::Streaming, k);
+        prof_->addCoreVisits(1);
+    }
+}
+
+void
+Simulator::catchUpStreaming(Cycle to)
+{
+    forEachCore(streamingCores_, [&](std::size_t i) { catchUpCore(i, to); });
 }
 
 void
@@ -388,8 +416,12 @@ Simulator::wakeDueCores(Cycle now)
             continue;
         }
         setCoreActive(i, true);
-        if (prof_)
+        if (coreStreaming(i)) {
+            catchUpCore(i, now);
+            setCoreStreaming(i, false);
+        } else if (prof_) {
             prof_->addRegime(i, prof::Regime::Dormant, now - parkedSince_[i]);
+        }
         coreDue_[i] = now; // regime re-test at this visit
     }
 }
@@ -400,7 +432,9 @@ Simulator::settleParkedCores()
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         if (coreActive(i))
             continue;
-        if (prof_)
+        if (coreStreaming(i))
+            catchUpCore(i, now_);
+        else if (prof_)
             prof_->addRegime(i, prof::Regime::Dormant,
                              now_ - parkedSince_[i]);
         parkedSince_[i] = now_;
@@ -414,6 +448,11 @@ Simulator::executeDueCycle(Cycle now, mem::SchedulerPolicy *active,
     {
         prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
                                 prof::Phase::SchedTick);
+        // A due tick may read CoreCounters (see
+        // SchedulerPolicy::setCoreCounters); a tick before the policy's
+        // own horizon is a no-op and reads nothing.
+        if (schedDue_ <= now)
+            catchUpStreaming(now);
         active->tick(now);
     }
     for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
@@ -426,6 +465,9 @@ Simulator::executeDueCycle(Cycle now, mem::SchedulerPolicy *active,
         for (const auto &c : comps) {
             const std::size_t i = c.thread;
             cores_[i]->completeMiss(c.missId, c.readyAt);
+            // A streaming window holds no miss, so no completion is
+            // outstanding for a core parked in a streaming span.
+            assert(!coreStreaming(i));
             if (coreActive(i)) {
                 // A delivered completion can end a regime; force a
                 // fresh regime test for this core.
@@ -449,7 +491,7 @@ Simulator::executeDueCycle(Cycle now, mem::SchedulerPolicy *active,
         // just-woken core correctly falls out of its regime and takes
         // the full tick.
         std::uint64_t visits = 0;
-        forEachActive([&](std::size_t i) {
+        forEachCore(activeCores_, [&](std::size_t i) {
             if (coreDue_[i] <= now && !retestCore(i, now, end))
                 return;
             ++visits;
@@ -458,17 +500,19 @@ Simulator::executeDueCycle(Cycle now, mem::SchedulerPolicy *active,
         if (prof_)
             prof_->addCoreVisits(visits);
     }
-    if (now >= telemetrySampleAt_)
+    if (now >= telemetrySampleAt_) {
+        // The sample reads every core's counters through cycle now.
+        catchUpStreaming(now + 1);
         sampleTelemetry();
+    }
 }
 
 Cycle
-Simulator::horizonAt(Cycle now, Cycle end, const mem::SchedulerPolicy *active,
-                     prof::HorizonSource &src) const
+Simulator::horizonAt(Cycle now, Cycle end, prof::HorizonSource &src) const
 {
     // Value-identical to min-of-everything-then-clamp; the source
     // tracking mirrors std::min's tie behavior (first listed wins).
-    Cycle h = active->nextEventAt(now);
+    Cycle h = schedDue_;
     src = prof::HorizonSource::Scheduler;
     if (telemetrySampleAt_ < h) {
         h = telemetrySampleAt_;
@@ -517,10 +561,14 @@ Simulator::step(Cycle cycles)
     // executeDueCycle in canonical order, so all cross-component state
     // changes happen exactly as in the per-cycle loop. Within executed
     // cycles, a controller ticks only once its own horizon is due, and
-    // dormant cores stay parked until their wake time. Cycles strictly
-    // inside a horizon span touch active cores only: in-regime cores
-    // advance by the closed form, out-of-regime cores tick in lockstep
-    // (exact, just without the no-op scheduler/controller calls).
+    // dormant cores stay parked until their wake time. A core in a
+    // streaming span of more than one cycle is parked too, until the
+    // span ends; its closed form is applied lazily, before anything
+    // reads its counters (a due policy tick, a telemetry sample, its
+    // wake-up, the end of the step). Cycles strictly inside a horizon
+    // span touch active cores only: in-regime cores advance by the
+    // closed form, out-of-regime cores tick in lockstep (exact, just
+    // without the no-op scheduler/controller calls).
     const std::size_t nch = controllers_.size();
     auto requery = [&](std::size_t ch) {
         ctrlDue_[ch] = controllers_[ch]->nextEventAt(now_);
@@ -528,6 +576,8 @@ Simulator::step(Cycle cycles)
     };
     for (std::size_t ch = 0; ch < nch; ++ch)
         requery(ch);
+    // No horizon is known yet: treat the first executed tick as due.
+    schedDue_ = now_;
     while (now_ < end) {
         executeDueCycle(now_, active, end);
         ++now_;
@@ -540,8 +590,11 @@ Simulator::step(Cycle cycles)
             if (ctrlDue_[ch] < now_ ||
                 controllers_[ch]->submissions() != ctrlSubmits_[ch])
                 requery(ch);
+        // No hook fires before the next executed cycle's policy tick,
+        // so this horizon also decides whether that tick is due.
+        schedDue_ = active->nextEventAt(now_);
         prof::HorizonSource hsrc = prof::HorizonSource::Scheduler;
-        const Cycle h = horizonAt(now_, end, active, hsrc);
+        const Cycle h = horizonAt(now_, end, hsrc);
         prof::ScopedPhase coreTimer(prof_ ? &prof_->main() : nullptr,
                                     prof::Phase::CoreTick);
         std::uint64_t visits = 0;
@@ -549,13 +602,14 @@ Simulator::step(Cycle cycles)
             if (wakeMin_ <= now_)
                 wakeDueCores(now_);
             // Re-test expired regimes; the jump is bounded by the
-            // horizon, the earliest parked wake-up and every active
-            // core's streaming span. No completion can arrive inside
+            // horizon, the earliest parked wake-up (the end of every
+            // parked streaming span among them) and every active core's
+            // one-cycle streaming span. No completion can arrive inside
             // the horizon (completions at executed cycles reset the
             // recipient's due time).
             Cycle bound = h;
             bool out = false;
-            forEachActive([&](std::size_t i) {
+            forEachCore(activeCores_, [&](std::size_t i) {
                 if (coreDue_[i] <= now_ && !retestCore(i, now_, end))
                     return;
                 if (coreDue_[i] <= now_)
@@ -567,7 +621,7 @@ Simulator::step(Cycle cycles)
             if (!out) {
                 // Every active core in regime: one closed-form jump.
                 const Cycle k = bound - now_;
-                forEachActive([&](std::size_t i) {
+                forEachCore(activeCores_, [&](std::size_t i) {
                     cores_[i]->fastForwardSilent(k);
                     ++visits;
                     if (prof_)
@@ -588,7 +642,7 @@ Simulator::step(Cycle cycles)
             // submit (both regimes preclude reaching a memory access);
             // the peek stops at the first submitter.
             bool submits = false;
-            forEachActive([&](std::size_t i) {
+            forEachCore(activeCores_, [&](std::size_t i) {
                 submits = submits ||
                           (coreDue_[i] <= now_ &&
                            cores_[i]->wouldSubmitAt(now_));
@@ -597,7 +651,7 @@ Simulator::step(Cycle cycles)
                 break;
             // Mixed single cycle: lockstep-tick the out-of-regime
             // cores, closed-form the rest.
-            forEachActive([&](std::size_t i) {
+            forEachCore(activeCores_, [&](std::size_t i) {
                 ++visits;
                 advanceCore(i, now_);
             });

@@ -303,51 +303,82 @@ class Simulator
 
     /**
      * Earliest cycle >= @p now at which any component other than a core
-     * could act (conservative minimum over scheduler, telemetry clock,
-     * and the controllers' cached horizons), clamped to [@p now, @p end].
-     * @p src is set to which subsystem's horizon won (ties keep the
-     * earlier-listed source; a low clamp keeps the cutting source) —
-     * profiler attribution only, never consulted by simulation logic.
+     * could act (conservative minimum over the scheduler horizon
+     * schedDue_, telemetry clock, and the controllers' cached horizons),
+     * clamped to [@p now, @p end]. @p src is set to which subsystem's
+     * horizon won (ties keep the earlier-listed source; a low clamp
+     * keeps the cutting source) — profiler attribution only, never
+     * consulted by simulation logic.
      */
-    Cycle horizonAt(Cycle now, Cycle end, const mem::SchedulerPolicy *active,
-                    prof::HorizonSource &src) const;
+    Cycle horizonAt(Cycle now, Cycle end, prof::HorizonSource &src) const;
 
     /** @{ Cycle-skip core bookkeeping (see coreDue_). */
 
-    /** Call @p f(i) for every active core, in index order; @p f may
-     *  park core i. */
-    template <typename F> void forEachActive(F &&f);
+    /** Call @p f(i) for every core whose bit is set in @p mask, in index
+     *  order; @p f may clear core i's bit. */
+    template <typename F>
+    void forEachCore(const std::vector<std::uint64_t> &mask, F &&f);
 
-    bool
-    coreActive(std::size_t i) const
-    {
-        return (activeCores_[i / 64] >> (i % 64)) & 1u;
-    }
+    bool coreActive(std::size_t i) const { return bit(activeCores_, i); }
 
     void
     setCoreActive(std::size_t i, bool active)
     {
+        setBit(activeCores_, i, active);
+    }
+
+    /** Parked core @p i is in a streaming span, not dormant. */
+    bool coreStreaming(std::size_t i) const { return bit(streamingCores_, i); }
+
+    void
+    setCoreStreaming(std::size_t i, bool streaming)
+    {
+        setBit(streamingCores_, i, streaming);
+    }
+
+    static bool
+    bit(const std::vector<std::uint64_t> &mask, std::size_t i)
+    {
+        return (mask[i / 64] >> (i % 64)) & 1u;
+    }
+
+    static void
+    setBit(std::vector<std::uint64_t> &mask, std::size_t i, bool on)
+    {
         const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-        activeCores_[i / 64] =
-            active ? activeCores_[i / 64] | bit : activeCores_[i / 64] & ~bit;
+        mask[i / 64] = on ? mask[i / 64] | bit : mask[i / 64] & ~bit;
     }
 
     /**
-     * Re-test core @p i's regime at @p now: park it when dormant,
-     * otherwise set its due time to the end of its streaming span
-     * (@p now when out of regime). False when the core was parked.
+     * Re-test core @p i's regime at @p now: park it when dormant or in
+     * a streaming span of more than one cycle, otherwise set its due
+     * time to the end of its span (@p now when out of regime, now + 1
+     * for a one-cycle streaming span). False when the core was parked.
      */
     bool retestCore(std::size_t i, Cycle now, Cycle end);
+
+    /** Apply streaming-parked core @p i's closed form through cycle
+     *  @p to - 1 and credit the cycles as streaming. */
+    void catchUpCore(std::size_t i, Cycle to);
+
+    /**
+     * Bring every streaming-parked core's counters up to date through
+     * cycle @p to - 1. Called before anything reads CoreCounters: a due
+     * policy tick, a telemetry sample, the end of step().
+     */
+    void catchUpStreaming(Cycle to);
 
     /** Advance active core @p i through cycle @p now: by the closed
      *  form while in its streaming span, else by a full tick. */
     void advanceCore(std::size_t i, Cycle now);
 
-    /** Unpark every core whose wake time is <= @p now, crediting its
-     *  parked cycles as dormant, and recompute wakeMin_. */
+    /** Unpark every core whose due time is <= @p now, catching a
+     *  streaming core up or crediting a dormant one's parked cycles,
+     *  and recompute wakeMin_. */
     void wakeDueCores(Cycle now);
 
-    /** Credit parked cores' dormant cycles up to now_ (end of step). */
+    /** Catch streaming-parked cores up and credit dormant ones' parked
+     *  cycles through now_ - 1 (end of step). */
     void settleParkedCores();
     /** @} */
 
@@ -407,11 +438,18 @@ class Simulator
     std::vector<Cycle> ctrlDue_;             //!< cached nextEventAt
     std::vector<std::uint64_t> ctrlSubmits_; //!< submissions() at query
     /** Active core: first cycle its regime must be re-tested (due <=
-     *  now means out of regime). Parked core: its wake time. */
+     *  now means out of regime). Parked core: its wake time (the end
+     *  of its span, when streaming). */
     std::vector<Cycle> coreDue_;
-    std::vector<Cycle> parkedSince_;         //!< parked core: first dormant cycle
-    std::vector<std::uint64_t> activeCores_; //!< bitmask, set = not parked
-    Cycle wakeMin_ = kCycleNever;            //!< earliest parked wake time
+    /** Parked core: first cycle not yet applied (dormant: not yet
+     *  credited to the profiler). */
+    std::vector<Cycle> parkedSince_;
+    std::vector<std::uint64_t> activeCores_;    //!< bitmask, set = not parked
+    std::vector<std::uint64_t> streamingCores_; //!< bitmask, set = streaming
+    Cycle wakeMin_ = kCycleNever;               //!< earliest parked wake time
+    /** The policy's nextEventAt as of the last horizon query: a policy
+     *  tick at or after it is due. */
+    Cycle schedDue_ = 0;
 
     std::vector<std::uint64_t> baseInstructions_;
     std::vector<std::uint64_t> baseMisses_;

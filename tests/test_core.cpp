@@ -159,6 +159,50 @@ TEST(Core, DormantWakeAtFollowsTheHeadMiss)
     EXPECT_EQ(rig.core->silentSpan(readyAt, 10), 0u);
 }
 
+TEST(Core, OutOfOrderCompletionsBeyondTheWindowRetireInOrder)
+{
+    // A 4-entry window of back-to-back misses whose completions arrive
+    // out of order, head last, for more rounds than the window has
+    // entries: every miss id reuses a completion slot of an earlier,
+    // already retired one. The head's ready time wakes the core, which
+    // then retires in program order at the full retire width.
+    std::vector<TraceItem> items;
+    for (int i = 0; i < 64; ++i)
+        items.push_back(readAt(0, i % 4, 5, i % 64));
+    CoreParams cp;
+    cp.windowSize = 4;
+    Rig rig(std::move(items), cp);
+
+    // Ready-time offsets by position in the window: head last.
+    const Cycle offsets[4] = {20, 14, 16, 12};
+    const std::uint64_t order[4] = {2, 0, 3, 1}; // delivery order
+    std::uint64_t firstId = 1;
+    Cycle now = 0;
+    for (int round = 0; round < 5; ++round) {
+        // Fill the window with this round's four misses.
+        while (rig.counters.readMisses < firstId + 3)
+            rig.core->tick(now++);
+        ASSERT_EQ(rig.core->windowOccupancy(), 4) << round;
+        EXPECT_EQ(rig.core->dormantWakeAt(now), kCycleNever) << round;
+
+        for (std::uint64_t pos : order)
+            rig.core->completeMiss(firstId + pos, now + offsets[pos]);
+        const Cycle wake = now + offsets[0];
+        EXPECT_EQ(rig.core->dormantWakeAt(now), wake) << round;
+
+        const std::uint64_t retired = rig.counters.instructions;
+        for (; now < wake; ++now)
+            rig.core->tick(now);
+        EXPECT_EQ(rig.counters.instructions, retired) << round;
+        rig.core->tick(now++); // the head and the two behind it
+        EXPECT_EQ(rig.counters.instructions, retired + 3) << round;
+        rig.core->tick(now++); // the fourth
+        EXPECT_EQ(rig.counters.instructions, retired + 4) << round;
+        firstId += 4;
+    }
+    EXPECT_EQ(rig.counters.instructions, 20u);
+}
+
 TEST(Core, ComputeAheadOfMissRetiresImmediately)
 {
     Rig rig({readAt(9, 0, 5, 0)});
