@@ -72,37 +72,6 @@ class Core
     bool wouldSubmitAt(Cycle now);
 
     /**
-     * Non-mutating lower bound on the first cycle >= @p now at which
-     * this core's fetch could place a memory access at the fetch head —
-     * i.e. the first cycle a tick might consult or mutate a memory
-     * controller. The intra-run parallel driver ends a decoupled span
-     * strictly before this cycle, so core ticks inside the span are
-     * provably controller-free. Conservative in three ways: fetch is
-     * assumed to consume the pending plain gap at the full fetch width
-     * every cycle (anything slower only delays the touch), an unseen
-     * trace item is assumed to carry a zero gap, and a dormant window
-     * (head miss not completed) wakes no earlier than the miss's known
-     * ready time — or never within the span, when the completion itself
-     * can only arrive at a future barrier.
-     */
-    Cycle
-    earliestMemTouchBound(Cycle now) const
-    {
-        if (!havePending_)
-            return now;
-        Cycle start = now;
-        if (occupancy_ >= params_.windowSize && !window_.empty() &&
-            window_.front().plain == 0) {
-            const Cycle ready = missReadyAt(window_.front().missId);
-            if (ready == kCycleNever)
-                return kCycleNever;
-            start = ready > now ? ready : now;
-        }
-        return start +
-               pendingGap_ / static_cast<std::uint64_t>(params_.fetchWidth);
-    }
-
-    /**
      * Wake time of a dormant core: while the window is full and its
      * head miss is not retireable, retire and fetch are both no-ops
      * until the miss's data is ready. Returns that ready time when the
@@ -176,19 +145,6 @@ class Core
             static_cast<std::uint64_t>(params_.fetchWidth);
         counters_->instructions += fw * k;
         pendingGap_ -= fw * k;
-    }
-
-    /**
-     * Regime classifier for a silent span just detected by silentSpan:
-     * true when the head of the window is a stalled miss (dormant
-     * regime), false when the span is plain-instruction streaming.
-     * Pure observer — only the profiler's regime-occupancy counters
-     * consume it; fastForwardSilent leaves the answer unchanged.
-     */
-    bool
-    dormantHead() const
-    {
-        return !window_.empty() && window_.front().plain == 0;
     }
 
     ThreadId id() const { return id_; }

@@ -53,8 +53,8 @@ struct GhtParams
  *
  * Fast-path contracts: both timed events (interval, rotation) are pure
  * timers; hooks only accumulate read counts and history-table hits that
- * the boundaries consume, so nextEventAt == decoupleHorizon == the
- * nearer boundary, exactly like ATLAS/FQM.
+ * the boundaries consume, so nextEventAt is the nearer boundary,
+ * exactly like ATLAS/FQM.
  */
 class Ght : public SchedulerPolicy
 {
@@ -75,15 +75,6 @@ class Ght : public SchedulerPolicy
     {
         return nextIntervalAt_ < nextRotateAt_ ? nextIntervalAt_
                                                : nextRotateAt_;
-    }
-
-    // Both boundaries are pure timers: hooks feed the statistics they
-    // consume but never move them, so decoupled stepping is safe up to
-    // the nearer one.
-    Cycle
-    decoupleHorizon(Cycle now) const override
-    {
-        return nextEventAt(now);
     }
 
     int

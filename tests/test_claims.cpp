@@ -308,10 +308,9 @@ TEST(Diff, ScaleMismatchIsReported)
 
 TEST(Diff, RunProvenanceIsNeverDiffed)
 {
-    // The "run" block records who/how (wall time, worker count, host
-    // threads, build type, kernel, self-profile) — facts about the
-    // machine that produced the document, not about the simulated
-    // system. Two docs may disagree on every one of them and still
+    // The "run" block records who/how (wall time, host threads, build
+    // type, kernel, self-profile) — facts about the machine that
+    // produced the document, not about the simulated system. Two docs may disagree on every one of them and still
     // match: only bench identity, scale, and result rows are compared,
     // so CI baselines recorded on different hardware or with --profile
     // never fail the gate.
@@ -319,8 +318,6 @@ TEST(Diff, RunProvenanceIsNeverDiffed)
     results::ResultsDoc base = sampleDoc();
     fresh.wallSeconds = 12.5;
     base.wallSeconds = 900.0;
-    fresh.intraWorkers = 4;
-    base.intraWorkers = 1;
     fresh.hostThreads = 64;
     base.hostThreads = 2;
     fresh.buildType = "Release";
@@ -337,7 +334,6 @@ TEST(ResultsDoc, RunProvenanceRoundTripsWithStableKeyOrder)
 {
     results::ResultsDoc doc = sampleDoc();
     doc.wallSeconds = 3.25;
-    doc.intraWorkers = 4;
     doc.hostThreads = 16;
     doc.buildType = "Release";
     doc.cycleSkip = 1;
@@ -347,19 +343,16 @@ TEST(ResultsDoc, RunProvenanceRoundTripsWithStableKeyOrder)
     // Schema-stable order inside the run block, so committed baselines
     // do not churn when regenerated.
     std::size_t pWall = json.find("\"wall_seconds\"");
-    std::size_t pWorkers = json.find("\"intra_workers\"");
     std::size_t pHost = json.find("\"host_threads\"");
     std::size_t pBuild = json.find("\"build_type\"");
     std::size_t pSkip = json.find("\"cycle_skip\"");
     std::size_t pProf = json.find("\"profile\"");
     ASSERT_NE(pWall, std::string::npos);
-    ASSERT_NE(pWorkers, std::string::npos);
     ASSERT_NE(pHost, std::string::npos);
     ASSERT_NE(pBuild, std::string::npos);
     ASSERT_NE(pSkip, std::string::npos);
     ASSERT_NE(pProf, std::string::npos);
-    EXPECT_LT(pWall, pWorkers);
-    EXPECT_LT(pWorkers, pHost);
+    EXPECT_LT(pWall, pHost);
     EXPECT_LT(pHost, pBuild);
     EXPECT_LT(pBuild, pSkip);
     EXPECT_LT(pSkip, pProf);

@@ -10,8 +10,9 @@
  * 24-core 4-channel system under an all-intensive mix (where parked
  * cores and per-controller wake-ups dominate), the same system under a
  * low-intensity mix (where cores parked in streaming spans are caught
- * up lazily before counter reads), and an audited DDR4 all-writes
- * system with every controller policy engaged.
+ * up lazily before counter reads), a 70-core system whose core masks
+ * span two 64-bit words, and an audited DDR4 all-writes system with
+ * every controller policy engaged.
  */
 
 #include <cstdio>
@@ -203,6 +204,26 @@ TEST(CycleSkipDifferentialTournament, FullSystemStreamingMixIsBitIdentical)
 INSTANTIATE_TEST_SUITE_P(PaperSchedulers, CycleSkipDifferential,
                          testing::ValuesIn(sim::paperSchedulers()),
                          schedName);
+
+TEST(CycleSkipDifferentialWideMask, SeventyCoresSpanTwoMaskWords)
+{
+    // 70 cores fill one 64-bit word of the kernel's active/streaming
+    // core masks and 6 bits of a second, so parking, wake-ups and the
+    // parked-core walk cross the word boundary and stop at the partial
+    // tail word.
+    sim::ExperimentScale scale;
+    scale.warmup = 10'000;
+    scale.measure = 50'000;
+    sim::SystemConfig config = diffConfig(true);
+    config.numCores = 70;
+    config.numChannels = 4;
+    config.telemetry.sampleInterval = 1'000;
+    auto mix = workload::randomMix(70, 0.25, /*seed=*/11);
+    for (const sched::SchedulerSpec &spec :
+         {sched::SchedulerSpec::tcmSpec(), sched::SchedulerSpec::frfcfs()})
+        expectKernelsIdentical(config, mix, spec, scale,
+                               schedName({spec, 0}) + "_70cores");
+}
 
 TEST(CycleSkipDifferentialWrites, AuditedDdr4WriteMixIsBitIdentical)
 {

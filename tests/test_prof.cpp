@@ -5,8 +5,8 @@
  * NOTHING the simulation produces — every RunResult field, every
  * telemetry JSONL byte, and the golden DRAM command trace are
  * bit-identical with the profiler on or off, across both execution
- * kernels (per-cycle oracle and cycle-skip) and every worker-lane
- * count. The profiler may read the wall clock; the simulation may not.
+ * kernels (per-cycle oracle and cycle-skip). The profiler may read the
+ * wall clock; the simulation may not.
  */
 
 #include <cstdlib>
@@ -31,15 +31,14 @@ using namespace tcm;
 namespace {
 
 /** Small but contended: enough threads and channels for real scan and
- *  skip activity, fast enough for a 2-kernel x 3-worker matrix. */
+ *  skip activity, fast enough to run under both kernels. */
 sim::SystemConfig
-profConfig(bool cycleSkip, int workers, bool profiled)
+profConfig(bool cycleSkip, bool profiled)
 {
     sim::SystemConfig config;
     config.numCores = 6;
     config.numChannels = 2;
     config.cycleSkip = cycleSkip;
-    config.intraRunParallel = workers;
     config.telemetry.enabled = true;
     config.telemetry.sampleInterval = 5'000;
     config.profile.enabled = profiled;
@@ -70,11 +69,11 @@ telemetryBytes(const sim::RunResult &r, const std::string &tag)
 }
 
 sim::RunResult
-runAt(const sched::SchedulerSpec &spec, bool cycleSkip, int workers,
-      bool profiled, const sim::ExperimentScale &scale,
+runAt(const sched::SchedulerSpec &spec, bool cycleSkip, bool profiled,
+      const sim::ExperimentScale &scale,
       const std::vector<workload::ThreadProfile> &mix)
 {
-    sim::SystemConfig cfg = profConfig(cycleSkip, workers, profiled);
+    sim::SystemConfig cfg = profConfig(cycleSkip, profiled);
     sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
     return sim::runWorkload(cfg, mix, spec, scale, cache, /*seed=*/13);
 }
@@ -108,10 +107,10 @@ expectIdentical(const sim::RunResult &plain, const sim::RunResult &prof,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Bit-identity: profiler on vs off, across kernels and worker counts.
+// Bit-identity: profiler on vs off, across kernels.
 // ---------------------------------------------------------------------------
 
-TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
+TEST(ProfilerPurity, BitIdenticalAcrossKernels)
 {
     // The env fallback must not contaminate the profiled=false legs.
     ::unsetenv("TCMSIM_PROFILE");
@@ -123,57 +122,46 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
 
     for (const sched::SchedulerSpec &spec :
          {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()}) {
-        // The scan counters are deterministic work counts: every kernel
-        // and worker count must report the same ones as the first leg.
+        // The scan counters are deterministic work counts: both kernels
+        // must report the same ones.
         std::optional<prof::ScanCounters> first;
         // Core visits are deterministic too, but kernel-specific: the
         // oracle visits every core every cycle, the event-horizon
         // kernel only the cores it does not park.
         std::uint64_t oracleVisits = 0;
         for (bool cycleSkip : {false, true}) {
-            for (int workers : {1, 2, 4}) {
-                std::string tag = std::string(sched::algoName(spec.algo)) +
-                                  (cycleSkip ? "_skip" : "_oracle") + "_w" +
-                                  std::to_string(workers);
-                sim::RunResult plain =
-                    runAt(spec, cycleSkip, workers, false, scale, mix);
-                sim::RunResult prof =
-                    runAt(spec, cycleSkip, workers, true, scale, mix);
-                EXPECT_EQ(plain.profile, nullptr) << tag;
-                ASSERT_NE(prof.profile, nullptr) << tag;
-                EXPECT_TRUE(prof.profile->enabled) << tag;
-                expectIdentical(plain, prof, tag);
+            std::string tag = std::string(sched::algoName(spec.algo)) +
+                              (cycleSkip ? "_skip" : "_oracle");
+            sim::RunResult plain = runAt(spec, cycleSkip, false, scale, mix);
+            sim::RunResult prof = runAt(spec, cycleSkip, true, scale, mix);
+            EXPECT_EQ(plain.profile, nullptr) << tag;
+            ASSERT_NE(prof.profile, nullptr) << tag;
+            EXPECT_TRUE(prof.profile->enabled) << tag;
+            expectIdentical(plain, prof, tag);
 
-                if (workers == 1) {
-                    const std::uint64_t visits = prof.profile->coreVisits;
-                    sim::RunResult again =
-                        runAt(spec, cycleSkip, workers, true, scale, mix);
-                    ASSERT_NE(again.profile, nullptr) << tag;
-                    EXPECT_EQ(again.profile->coreVisits, visits) << tag;
-                    if (!cycleSkip) {
-                        EXPECT_EQ(visits, 6u * (scale.warmup + scale.measure))
-                            << tag;
-                        oracleVisits = visits;
-                    } else {
-                        EXPECT_GT(visits, 0u) << tag;
-                        EXPECT_LT(visits, oracleVisits) << tag;
-                    }
-                }
-
-                const prof::ScanCounters &scan = prof.profile->scan;
-                EXPECT_GT(scan.legalityProbes, 0u) << tag;
-                if (!first) {
-                    first = scan;
-                    continue;
-                }
-                EXPECT_EQ(scan.soaScans, first->soaScans) << tag;
-                EXPECT_EQ(scan.readsExamined, first->readsExamined) << tag;
-                EXPECT_EQ(scan.dominanceSkipped, first->dominanceSkipped)
-                    << tag;
-                EXPECT_EQ(scan.fallbackScans, first->fallbackScans) << tag;
-                EXPECT_EQ(scan.legalityProbes, first->legalityProbes)
-                    << tag;
+            const std::uint64_t visits = prof.profile->coreVisits;
+            sim::RunResult again = runAt(spec, cycleSkip, true, scale, mix);
+            ASSERT_NE(again.profile, nullptr) << tag;
+            EXPECT_EQ(again.profile->coreVisits, visits) << tag;
+            if (!cycleSkip) {
+                EXPECT_EQ(visits, 6u * (scale.warmup + scale.measure)) << tag;
+                oracleVisits = visits;
+            } else {
+                EXPECT_GT(visits, 0u) << tag;
+                EXPECT_LT(visits, oracleVisits) << tag;
             }
+
+            const prof::ScanCounters &scan = prof.profile->scan;
+            EXPECT_GT(scan.legalityProbes, 0u) << tag;
+            if (!first) {
+                first = scan;
+                continue;
+            }
+            EXPECT_EQ(scan.soaScans, first->soaScans) << tag;
+            EXPECT_EQ(scan.readsExamined, first->readsExamined) << tag;
+            EXPECT_EQ(scan.dominanceSkipped, first->dominanceSkipped) << tag;
+            EXPECT_EQ(scan.fallbackScans, first->fallbackScans) << tag;
+            EXPECT_EQ(scan.legalityProbes, first->legalityProbes) << tag;
         }
     }
 }
@@ -181,20 +169,18 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
 // ---------------------------------------------------------------------------
 // Command-stream identity: a profiled run reproduces the same committed
 // golden DRAM command trace the unprofiled kernels are pinned to
-// (test_golden / test_cycleskip / test_intra_parallel).
+// (test_golden / test_cycleskip).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 std::string
-commandTrace(bool cycleSkip, int workers, bool profiled,
-             std::size_t events)
+commandTrace(bool cycleSkip, bool profiled, std::size_t events)
 {
     sim::SystemConfig config;
     config.numCores = 2;
     config.numChannels = 1;
     config.cycleSkip = cycleSkip;
-    config.intraRunParallel = workers;
     auto mix = workload::randomMix(config.numCores, 1.0, /*seed=*/99);
     sched::SchedulerSpec spec = sched::SchedulerSpec::frfcfs();
     spec.scaleToRun(30'000);
@@ -218,10 +204,8 @@ TEST(ProfilerPurity, GoldenCommandTraceUnchanged)
     const std::string golden = readFile(
         std::string(TCMSIM_GOLDEN_DIR) + "/cmd_trace_frfcfs_seed99.txt");
     for (bool cycleSkip : {false, true})
-        for (int workers : {1, 2})
-            EXPECT_EQ(commandTrace(cycleSkip, workers, true, kEvents),
-                      golden)
-                << "cycleSkip=" << cycleSkip << " workers=" << workers;
+        EXPECT_EQ(commandTrace(cycleSkip, true, kEvents), golden)
+            << "cycleSkip=" << cycleSkip;
 }
 
 // ---------------------------------------------------------------------------
@@ -273,37 +257,6 @@ TEST(ProfilerReport, EveryRegisteredSchedulerGetsHorizonAttribution)
     }
 }
 
-TEST(ProfilerReport, RegimeAccountingCoversEveryCycleUnderGang)
-{
-    auto mix = workload::randomMix(6, 0.5, /*seed=*/42);
-    sched::SchedulerSpec spec = sched::SchedulerSpec::tcmSpec();
-    spec.scaleToRun(60'000);
-    sim::SystemConfig config = profConfig(true, 4, false);
-    sim::Simulator sim(config, mix, spec, /*seed=*/13);
-    prof::Profiler profiler;
-    sim.attachProfiler(&profiler);
-    sim.step(60'000);
-
-    prof::ProfileReport r = profiler.report();
-    ASSERT_EQ(r.coreRegimes.size(), 6u);
-    for (const auto &core : r.coreRegimes) {
-        std::uint64_t total = 0;
-        for (std::uint64_t c : core)
-            total += c;
-        EXPECT_EQ(total, 60'000u);
-    }
-    // The gang ran and its lane-imbalance slots were populated through
-    // the per-lane hooks (merged shard totals, not just lane 0).
-    EXPECT_EQ(r.gangLanes, 4);
-    ASSERT_EQ(r.laneTasks.size(), 4u);
-    std::uint64_t tasks = 0;
-    for (std::uint64_t t : r.laneTasks)
-        tasks += t;
-    EXPECT_GT(tasks, 0u);
-    EXPECT_GT(r.phaseCalls[static_cast<int>(prof::Phase::GangRun)], 0u);
-    EXPECT_GT(r.phaseCalls[static_cast<int>(prof::Phase::Replay)], 0u);
-}
-
 TEST(ProfilerReport, MergeAddsRunsAndCounts)
 {
     prof::ProfileReport a, b;
@@ -341,19 +294,19 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     r.enabled = true;
     r.runs = 1;
     auto kv = r.provenance();
-    // Fixed order: 8 phase_ms keys, 4 skip summary keys, 5 horizon
-    // sources, 3 regimes, core visits, 4 scan counters = 25 entries.
-    ASSERT_EQ(kv.size(), 25u);
+    // Fixed order: 6 phase_ms keys, 4 skip summary keys, 5 horizon
+    // sources, 3 regimes, core visits, 4 scan counters = 23 entries.
+    ASSERT_EQ(kv.size(), 23u);
     EXPECT_EQ(kv[0].first, "sched_tick_ms");
-    EXPECT_EQ(kv[7].first, "serialize_ms");
-    EXPECT_EQ(kv[8].first, "skips");
-    EXPECT_EQ(kv[11].first, "skip_max");
-    EXPECT_EQ(kv[12].first, "horizon_scheduler");
-    EXPECT_EQ(kv[16].first, "horizon_end");
-    EXPECT_EQ(kv[17].first, "dormant_cycles");
-    EXPECT_EQ(kv[20].first, "core_visits");
-    EXPECT_EQ(kv[23].first, "fallback_scans");
-    EXPECT_EQ(kv[24].first, "legality_probes");
+    EXPECT_EQ(kv[5].first, "serialize_ms");
+    EXPECT_EQ(kv[6].first, "skips");
+    EXPECT_EQ(kv[9].first, "skip_max");
+    EXPECT_EQ(kv[10].first, "horizon_scheduler");
+    EXPECT_EQ(kv[14].first, "horizon_end");
+    EXPECT_EQ(kv[15].first, "dormant_cycles");
+    EXPECT_EQ(kv[18].first, "core_visits");
+    EXPECT_EQ(kv[21].first, "fallback_scans");
+    EXPECT_EQ(kv[22].first, "legality_probes");
 }
 
 TEST(ProfilerReport, JsonAndPrintAreWellFormed)
@@ -487,7 +440,7 @@ TEST(SimulatorLane, ChromeTraceGainsLaneOnlyWhenProfiled)
     auto mix = workload::randomMix(4, 0.5, /*seed=*/42);
 
     auto chromeTrace = [&](bool profiled) {
-        sim::SystemConfig cfg = profConfig(true, 1, profiled);
+        sim::SystemConfig cfg = profConfig(true, profiled);
         sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
         sim::RunResult r =
             sim::runWorkload(cfg, mix, sched::SchedulerSpec::tcmSpec(),
