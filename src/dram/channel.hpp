@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -82,6 +83,15 @@ class Channel
      */
     Cycle autoPrecharge(BankId b);
 
+    /**
+     * State version: moves on every issue() and autoPrecharge(), the
+     * only calls that change channel state. While it stands still,
+     * every canIssue and earliestIssue answer is a function of the
+     * cycle alone, so a caller may cache earliestIssue per (command,
+     * bank) and refresh the cache only when the version moves.
+     */
+    std::uint64_t version() const { return version_; }
+
     /** True when every bank in every rank is precharged. */
     bool allBanksPrecharged() const;
 
@@ -149,6 +159,7 @@ class Channel
     int lastColGroup_ = -1;     //!< its global bank group; -1 = none yet
     Cycle lastIssueCycle_ = 0;  //!< stamps auto-precharge rider events
     int lastBurstRank_ = -1;    //!< for the tRTRS rank-switch gap
+    std::uint64_t version_ = 0; //!< see version()
 };
 
 } // namespace tcm::dram

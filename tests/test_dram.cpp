@@ -5,7 +5,12 @@
  * interleave.
  */
 
+#include <array>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "common/random.hpp"
 
 #include "dram/address.hpp"
 #include "dram/bank.hpp"
@@ -648,4 +653,129 @@ TEST(PowerDown, RequiresRankPrecharged)
     ch.issue(CommandKind::Activate, 0, 1, 0);
     EXPECT_FALSE(ch.canIssue(CommandKind::PowerDown, 0, t.tCK));
     EXPECT_EQ(ch.earliestIssue(CommandKind::PowerDown, 0), kCycleNever);
+}
+
+// ---------------------------------------------------------------------------
+// Legality contract: on a powered-up rank, canIssue(k, b, t) holds exactly
+// when t >= earliestIssue(k, b); on a powered-down rank it never holds.
+// The memory controller's legality table stores earliestIssue per (bank,
+// command) and answers every scan's legality question from it, so this
+// equivalence is what makes the table exact.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Drive a fresh Channel with a seeded random stream of legal commands
+ * (every kind, plus auto-precharge riders) and check the contract for
+ * every bank and every ACT/RD/WR/PRE at every cycle. Each command kind
+ * must actually issue, so the check covers the states each one leaves.
+ */
+void
+checkLegalityContract(const TimingParams &t, std::uint64_t seed,
+                      const std::string &label)
+{
+    Channel ch(t);
+    Pcg32 rng(seed);
+    constexpr std::array<CommandKind, 4> kScanKinds = {
+        CommandKind::Activate, CommandKind::Read, CommandKind::Write,
+        CommandKind::Precharge};
+    constexpr std::array<CommandKind, 7> kAllKinds = {
+        CommandKind::Activate,  CommandKind::Read,    CommandKind::Write,
+        CommandKind::Precharge, CommandKind::Refresh, CommandKind::PowerDown,
+        CommandKind::PowerUp};
+    std::array<int, 7> issued{};
+    int riders = 0;
+    std::uint64_t poweredDownChecks = 0;
+    const auto banks = static_cast<std::uint32_t>(ch.numBanks());
+    for (Cycle now = 0; now < 40'000; ++now) {
+        for (BankId b = 0; b < ch.numBanks(); ++b) {
+            const bool down = ch.rankPoweredDown(ch.rankOf(b));
+            for (CommandKind k : kScanKinds) {
+                const bool can = ch.canIssue(k, b, now);
+                if (down) {
+                    ASSERT_FALSE(can) << label << " " << commandName(k)
+                                      << " b" << b << " at " << now;
+                    ++poweredDownChecks;
+                } else {
+                    ASSERT_EQ(can, now >= ch.earliestIssue(k, b))
+                        << label << " " << commandName(k) << " b" << b
+                        << " at " << now << ", earliestIssue "
+                        << ch.earliestIssue(k, b);
+                }
+            }
+        }
+        // Up to three random attempts; the first legal one issues. One
+        // stretch in four draws only PRE/REF/PDE/PDX, so ranks reach the
+        // all-precharged state that refresh and power-down need; the
+        // other stretches mix every command.
+        const bool closing = (now / 1'000) % 4 == 3;
+        for (int attempt = 0; attempt < 3; ++attempt) {
+            const int ki = closing ? (rng.nextBool(0.5)
+                                          ? 3
+                                          : static_cast<int>(
+                                                4 + rng.nextBelow(3)))
+                                   : static_cast<int>(rng.nextBelow(7));
+            const CommandKind k = kAllKinds[static_cast<std::size_t>(ki)];
+            const auto b = static_cast<BankId>(rng.nextBelow(banks));
+            if (!ch.canIssue(k, b, now))
+                continue;
+            const std::uint64_t version = ch.version();
+            ch.issue(k, b, static_cast<RowId>(rng.nextBelow(8)), now);
+            ASSERT_NE(ch.version(), version) << label << " issue";
+            ++issued[static_cast<std::size_t>(ki)];
+            if ((k == CommandKind::Read || k == CommandKind::Write) &&
+                rng.nextBool(0.25)) {
+                const std::uint64_t before = ch.version();
+                ch.autoPrecharge(b);
+                ASSERT_NE(ch.version(), before) << label << " rider";
+                ++riders;
+            }
+            break;
+        }
+    }
+    for (std::size_t i = 0; i < kAllKinds.size(); ++i)
+        EXPECT_GT(issued[i], 0) << label << " never issued "
+                                << commandName(kAllKinds[i]);
+    EXPECT_GT(riders, 0) << label;
+    EXPECT_GT(poweredDownChecks, 0u) << label;
+}
+
+} // namespace
+
+TEST(LegalityContract, Ddr2)
+{
+    for (std::uint64_t seed : {1u, 2u})
+        checkLegalityContract(noRefreshTiming(), seed, "ddr2-800");
+}
+
+TEST(LegalityContract, Ddr3)
+{
+    TimingParams t = protocols::ddr3_1333().derive();
+    t.refreshEnabled = false;
+    for (std::uint64_t seed : {1u, 2u})
+        checkLegalityContract(t, seed, "ddr3-1333");
+}
+
+TEST(LegalityContract, Ddr4BankGroups)
+{
+    TimingParams t = protocols::ddr4_2400().derive();
+    t.refreshEnabled = false;
+    for (std::uint64_t seed : {1u, 2u})
+        checkLegalityContract(t, seed, "ddr4-2400");
+}
+
+TEST(LegalityContract, TwoRanksWithRankSwitchGap)
+{
+    TimingParams ddr2 = noRefreshTiming();
+    ddr2.ranksPerChannel = 2;
+    ASSERT_GT(ddr2.tRTRS, 0u);
+    TimingParams ddr4 = protocols::ddr4_2400().derive();
+    ddr4.refreshEnabled = false;
+    ddr4.banksPerChannel *= 2;
+    ddr4.ranksPerChannel = 2;
+    for (std::uint64_t seed : {1u, 2u}) {
+        checkLegalityContract(ddr2, seed, "ddr2-800 x2 ranks");
+        checkLegalityContract(ddr4, seed, "ddr4-2400 x2 ranks");
+    }
 }

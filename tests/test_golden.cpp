@@ -95,19 +95,25 @@ INSTANTIATE_TEST_SUITE_P(Recorded, GoldenWorkloadA,
 
 namespace {
 
+/** @p spec scaled to the 30k-cycle trace runs. */
+sched::SchedulerSpec
+scaledSpec(sched::SchedulerSpec spec)
+{
+    spec.scaleToRun(30'000);
+    return spec;
+}
+
 /** Record the first @p events commands of a 30k-cycle seed-99 run of
- *  @p mix under @p config and @p spec, and diff (or regold, with
- *  TCMSIM_REGOLD=1) against the golden at @p path. */
+ *  @p mix under @p config and @p spec (used as given: callers scale it),
+ *  and diff (or regold, with TCMSIM_REGOLD=1) against the golden at
+ *  @p path. */
 void
 checkCommandTrace(const sim::SystemConfig &config,
                   const std::vector<workload::ThreadProfile> &mix,
                   const sched::SchedulerSpec &spec, const std::string &path,
                   std::size_t events)
 {
-    sched::SchedulerSpec scaled = spec;
-    scaled.scaleToRun(30'000);
-
-    sim::Simulator sim(config, mix, scaled, /*seed=*/99);
+    sim::Simulator sim(config, mix, spec, /*seed=*/99);
     dram::CommandTraceRecorder recorder(events);
     sim.attachCommandObserver(&recorder);
     sim.step(30'000);
@@ -146,7 +152,27 @@ checkCommandTrace(const sched::SchedulerSpec &spec, const std::string &path)
     config.numChannels = 1;
     checkCommandTrace(config,
                       workload::randomMix(config.numCores, 1.0, /*seed=*/99),
-                      spec, path, 400);
+                      scaledSpec(spec), path, 400);
+}
+
+/**
+ * The 1000-event trace of an 8-core, 1-channel DDR2 run at intensity
+ * 1.0: the read queue holds requests in most banks, so every scan
+ * chooses among many issuable candidates and the pick order of the
+ * whole priority key (aging, batch bit, rank, row hit, age) decides
+ * the stream. @p spec is used as given.
+ */
+void
+checkLoadedCommandTrace(const sched::SchedulerSpec &spec,
+                        const std::string &file)
+{
+    sim::SystemConfig config;
+    config.numCores = 8;
+    config.numChannels = 1;
+    checkCommandTrace(config,
+                      workload::randomMix(config.numCores, 1.0, /*seed=*/99),
+                      spec, std::string(TCMSIM_GOLDEN_DIR) + "/" + file,
+                      1000);
 }
 
 } // namespace
@@ -189,7 +215,8 @@ TEST(GoldenCommandTrace, Ddr4WriteDrainCommandStreamIsBitStable)
         t.writeFraction = 1.0;
     const std::string path =
         std::string(TCMSIM_GOLDEN_DIR) + "/cmd_trace_ddr4_writes_seed99.txt";
-    checkCommandTrace(config, mix, sched::SchedulerSpec::blissSpec(), path,
+    checkCommandTrace(config, mix,
+                      scaledSpec(sched::SchedulerSpec::blissSpec()), path,
                       /*events=*/3300);
 
     // The golden must actually exercise the paths it exists to pin.
@@ -199,4 +226,48 @@ TEST(GoldenCommandTrace, Ddr4WriteDrainCommandStreamIsBitStable)
     for (const char *cmd : {" WR ", " PDE", " PDX", " PRE "})
         EXPECT_NE(text.find(cmd), std::string::npos)
             << "golden trace has no" << cmd << "command";
+}
+
+// Pick-order goldens for the ranked schedulers. The per-cycle oracle
+// shares the controller, so only a recorded stream can see a changed
+// pick. Quanta and thresholds are shortened below the 30k-cycle scaling
+// so that rank changes, aging and batching all happen inside the
+// recorded prefix.
+
+TEST(GoldenCommandTrace, TcmCommandStreamIsBitStable)
+{
+    sched::SchedulerSpec spec = scaledSpec(sched::SchedulerSpec::tcmSpec());
+    spec.tcm.quantum = 3'000;
+    spec.tcm.shuffleInterval = 400;
+    checkLoadedCommandTrace(spec, "cmd_trace_tcm_8core_seed99.txt");
+}
+
+TEST(GoldenCommandTrace, AtlasAgingCommandStreamIsBitStable)
+{
+    sched::SchedulerSpec spec = scaledSpec(sched::SchedulerSpec::atlasSpec());
+    spec.atlas.quantum = 3'000;
+    spec.atlas.agingThreshold = 1'500;
+    checkLoadedCommandTrace(spec, "cmd_trace_atlas_8core_seed99.txt");
+}
+
+TEST(GoldenCommandTrace, ParBsCommandStreamIsBitStable)
+{
+    checkLoadedCommandTrace(scaledSpec(sched::SchedulerSpec::parbsSpec()),
+                            "cmd_trace_parbs_8core_seed99.txt");
+}
+
+TEST(GoldenCommandTrace, StfmCommandStreamIsBitStable)
+{
+    sched::SchedulerSpec spec = scaledSpec(sched::SchedulerSpec::stfmSpec());
+    spec.stfm.updatePeriod = 256;
+    checkLoadedCommandTrace(spec, "cmd_trace_stfm_8core_seed99.txt");
+}
+
+// Close-page FR-FCFS pins the smart-closed auto-precharge decision: a
+// column command keeps its row open only while another queued request
+// hits it.
+TEST(GoldenCommandTrace, ClosePageFrFcfsCommandStreamIsBitStable)
+{
+    checkLoadedCommandTrace(scaledSpec(sched::SchedulerSpec::cpFrfcfsSpec()),
+                            "cmd_trace_frfcfs_cp_8core_seed99.txt");
 }

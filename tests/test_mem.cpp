@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -285,6 +286,43 @@ TEST(Controller, HigherRankedThreadWinsOverRowHit)
     ASSERT_EQ(mc.completions().size(), 3u);
     EXPECT_EQ(mc.completions()[1].missId, 3u);
     EXPECT_EQ(mc.completions()[2].missId, 2u);
+}
+
+TEST(Controller, ExtremeRanksOrderActivatesToIdleBanks)
+{
+    // Ranks at and beyond the 16-bit range, down to INT_MIN and up to
+    // INT_MAX, must order the scan exactly as ordinary ranks do. Five
+    // reads to five idle, precharged banks arrive together, lowest rank
+    // first (so age alone would reverse the order); their ACTs must
+    // issue from the highest rank down.
+    dram::TimingParams t = dram::protocols::ddr3_1333().derive();
+    t.refreshEnabled = false;
+    ASSERT_GE(t.banksPerChannel, 5);
+    const std::vector<int> ranks = {std::numeric_limits<int>::min(), -40000,
+                                    0, 40000,
+                                    std::numeric_limits<int>::max()};
+    sched::FixedRank sched(ranks);
+    sched.configure(static_cast<int>(ranks.size()), 1, t.banksPerChannel);
+    MemoryController mc(0, t, ControllerParams{}, sched);
+
+    struct Acts : dram::CommandObserver
+    {
+        std::vector<BankId> banks;
+        void
+        onCommand(const dram::CommandEvent &ev) override
+        {
+            if (ev.kind == dram::CommandKind::Activate)
+                banks.push_back(ev.bank);
+        }
+    } acts;
+    mc.addCommandObserver(&acts);
+
+    for (ThreadId th = 0; th < static_cast<ThreadId>(ranks.size()); ++th)
+        mc.submitRead(th, th, /*bank=*/static_cast<BankId>(th), /*row=*/3,
+                      0, 0);
+    spin(mc, 0, 2000);
+    ASSERT_EQ(mc.completions().size(), ranks.size());
+    EXPECT_EQ(acts.banks, (std::vector<BankId>{4, 3, 2, 1, 0}));
 }
 
 TEST(Controller, BackpressureWhenReadBufferFull)
