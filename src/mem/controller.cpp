@@ -1,6 +1,7 @@
 #include "mem/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "prof/profiler.hpp"
@@ -9,6 +10,12 @@
 namespace tcm::mem {
 
 using dram::CommandKind;
+
+// The legality table indexes its four entries per bank by CommandKind.
+static_assert(static_cast<int>(CommandKind::Activate) == 0 &&
+              static_cast<int>(CommandKind::Read) == 1 &&
+              static_cast<int>(CommandKind::Write) == 2 &&
+              static_cast<int>(CommandKind::Precharge) == 3);
 
 MemoryController::MemoryController(ChannelId id,
                                    const dram::TimingParams &timing,
@@ -32,9 +39,12 @@ MemoryController::MemoryController(ChannelId id,
                 : kCycleNever;
     }
     rankLastActiveAt_.resize(timing.ranksPerChannel, 0);
-    openRowScratch_.resize(timing.banksPerChannel, kNoRow);
-    verdicts_.resize(3 * static_cast<std::size_t>(timing.banksPerChannel),
-                     kUnprobed);
+    // A fresh channel has every bank precharged at version 0, which is
+    // exactly what the empty snapshot says.
+    openRow_.assign(timing.banksPerChannel, kNoRow);
+    hits_[0].assign(timing.banksPerChannel, 0);
+    hits_[1].assign(timing.banksPerChannel, 0);
+    legality_.resize(4 * static_cast<std::size_t>(timing.banksPerChannel));
 }
 
 void
@@ -75,9 +85,8 @@ MemoryController::submitWrite(ThreadId thread, BankId bank, RowId row,
 }
 
 void
-MemoryController::refreshPolicyCache(Cycle now)
+MemoryController::refreshPolicyCache()
 {
-    (void)now;
     // Ranks only move when the policy says so (rank epoch); between
     // bumps the cached vector is exact, so re-querying rankOf for every
     // thread on every scan would be pure waste. A cache smaller than
@@ -96,80 +105,36 @@ MemoryController::refreshPolicyCache(Cycle now)
     rowHitAboveRankCache_ = sched_->rowHitAboveRank();
     useRowHitCache_ = sched_->useRowHit();
 
-    // Rebuild the static key halves for every queued read. Rank and
+    // Rebuild the static key halves for every queued request. Rank and
     // marked bits only move with the rank epoch (PAR-BS bumps it
     // whenever it flips marked bits), so between rebuilds the keys
     // stamped here — and at admit time for new arrivals — stay exact.
-    soaRankOk_ = true;
-    const std::vector<Request> &reads = queue_.reads();
-    std::vector<std::uint64_t> &keyHi = queue_.readKeyHi();
-    for (std::size_t i = 0; i < reads.size(); ++i)
-        keyHi[i] = packedKeyHi(reads[i].thread, reads[i].marked);
+    for (bool writes : {false, true}) {
+        const std::vector<Request> &q =
+            writes ? queue_.writes() : queue_.reads();
+        std::vector<std::uint64_t> &keyHi = queue_.keyHi(writes);
+        for (std::size_t i = 0; i < q.size(); ++i)
+            keyHi[i] = packedKeyHi(q[i].thread, q[i].marked);
+    }
 }
 
 std::uint64_t
-MemoryController::packedKeyHi(ThreadId thread, bool marked)
+MemoryController::packedKeyHi(ThreadId thread, bool marked) const
 {
-    // Key layout (descending priority, mirrors higherPriority):
+    // Key layout (descending priority, Algorithm 3 generalized):
     //   bit 63     over-age escalation        (dynamic, set per scan)
     //   bit 62     batch bit (PAR-BS)
     //   bit 61     row hit when rowHitAboveRank (dynamic, set per scan)
-    //   bits 45-60 rank, biased by 32768
-    //   bit 44     row hit otherwise          (dynamic, set per scan)
+    //   bits 29-60 rank, biased by 2^31 (every int fits)
+    //   bit 28     row hit otherwise          (dynamic, set per scan)
     // keyLo is ~arrivedAt (older is larger); exact ties fall back to an
     // explicit seq compare in the scan.
-    const int rank = cachedRank(thread);
-    if (rank < -32768 || rank > 32767)
-        soaRankOk_ = false; // until the next rebuild re-checks
-    std::uint64_t hi = static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(rank + 32768) & 0xFFFFu)
-                       << 45;
+    const std::uint32_t biased =
+        static_cast<std::uint32_t>(cachedRank(thread)) ^ 0x80000000u;
+    std::uint64_t hi = static_cast<std::uint64_t>(biased) << 29;
     if (marked)
         hi |= std::uint64_t{1} << 62;
     return hi;
-}
-
-bool
-MemoryController::higherPriority(const Request &a, const Request &b,
-                                 Cycle now) const
-{
-    // Tier 1: over-age escalation (ATLAS starvation threshold).
-    if (agingCache_ != kCycleNever) {
-        bool aOld = a.arrivedAt + agingCache_ <= now;
-        bool bOld = b.arrivedAt + agingCache_ <= now;
-        if (aOld != bOld)
-            return aOld;
-    }
-
-    // Tier 2: batch bit (PAR-BS).
-    if (a.marked != b.marked)
-        return a.marked;
-
-    int aRank = cachedRank(a.thread);
-    int bRank = cachedRank(b.thread);
-    bool aHit = channel_.bank(a.bank).openRow() == a.row;
-    bool bHit = channel_.bank(b.bank).openRow() == b.row;
-    if (!useRowHitCache_) {
-        aHit = false;
-        bHit = false;
-    }
-
-    if (rowHitAboveRankCache_) {
-        if (aHit != bHit)
-            return aHit;
-        if (aRank != bRank)
-            return aRank > bRank;
-    } else {
-        if (aRank != bRank)
-            return aRank > bRank;
-        if (aHit != bHit)
-            return aHit;
-    }
-
-    // Oldest first; seq breaks exact ties deterministically.
-    if (a.arrivedAt != b.arrivedAt)
-        return a.arrivedAt < b.arrivedAt;
-    return a.seq < b.seq;
 }
 
 void
@@ -178,15 +143,11 @@ MemoryController::maybeAutoPrecharge(const Request &served)
     if (params_.pagePolicy != PagePolicy::Closed)
         return;
     // Smart-closed: keep the row open if another queued request would
-    // hit it. The queues are walked only when something targets the bank.
-    if (queue_.queuedAt(served.bank) > 0) {
-        for (const Request &r : queue_.reads())
-            if (r.bank == served.bank && r.row == served.row)
-                return;
-        for (const Request &r : queue_.writes())
-            if (r.bank == served.bank && r.row == served.row)
-                return;
-    }
+    // hit it. The served row is the bank's synced open row and the
+    // served request has left the hit counts, so they answer directly.
+    assert(openRow_[served.bank] == served.row);
+    if (hits_[0][served.bank] + hits_[1][served.bank] > 0)
+        return;
     channel_.autoPrecharge(served.bank);
     ++stats_.precharges;
 }
@@ -290,82 +251,82 @@ bool
 MemoryController::trySpeculativePrecharge(Cycle now, Cycle &nextPossible)
 {
     // Close open banks that no queued request targets; demand precharges
-    // (row conflicts) already belong to the scheduling scans.
-    for (int b = 0; b < channel_.numBanks(); ++b) {
-        if (channel_.bank(b).precharged() || queue_.queuedAt(b) > 0)
+    // (row conflicts) already belong to the scheduling scans. The bank
+    // snapshot was synced before the tick's scans.
+    for (BankId b = 0; b < channel_.numBanks(); ++b) {
+        if (openRow_[b] == kNoRow || queue_.queuedAt(b) > 0)
             continue;
-        if (channel_.canIssue(CommandKind::Precharge, b, now)) {
+        const Legality &pre = legality(CommandKind::Precharge, b);
+        if (now >= pre.legalFrom) {
             channel_.issue(CommandKind::Precharge, b, kNoRow, now);
             ++stats_.precharges;
             ++stats_.speculativePrecharges;
             return true;
         }
-        nextPossible = std::min(
-            nextPossible, channel_.earliestIssue(CommandKind::Precharge, b));
+        nextPossible = std::min(nextPossible, pre.at);
     }
     return false;
 }
 
-bool
-MemoryController::probe(CommandKind cmd, BankId bank, Cycle now,
-                        Cycle &nextPossible)
+void
+MemoryController::refreshLegality(Legality &e, CommandKind kind, BankId bank)
 {
     if (prof_)
         ++prof_->scan.legalityProbes;
-    if (channel_.canIssue(cmd, bank, now))
-        return true;
-    nextPossible = std::min(nextPossible, channel_.earliestIssue(cmd, bank));
-    return false;
+    e.version = channel_.version();
+    e.at = channel_.earliestIssue(kind, bank);
+    e.legalFrom = channel_.rankPoweredDown(channel_.rankOf(bank))
+                      ? kCycleNever
+                      : e.at;
 }
 
-bool
-MemoryController::tryIssue(std::vector<Request> &candidates, Cycle now,
-                           Cycle &nextPossible)
+int
+MemoryController::countHits(const QueueMirror &m, BankId b, RowId row)
 {
-    int best = -1;
-    CommandKind bestCmd = CommandKind::Read;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const Request &req = candidates[i];
-        CommandKind cmd = nextCommand(req);
-        if (!legal(cmd, req.bank, now, nextPossible))
-            continue;
-        if (best < 0 || higherPriority(req, candidates[best], now)) {
-            best = static_cast<int>(i);
-            bestCmd = cmd;
+    if (row == kNoRow || m.count[b] == 0)
+        return 0;
+    int hits = 0;
+    const std::uint64_t *slots = m.slotsOf(b);
+    for (std::size_t w = 0; w < m.words; ++w)
+        for (std::uint64_t bits = slots[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t i =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            hits += m.row[i] == row ? 1 : 0;
         }
+    return hits;
+}
+
+void
+MemoryController::syncBanks()
+{
+    if (channel_.version() == syncedVersion_)
+        return;
+    syncedVersion_ = channel_.version();
+    for (BankId b = 0; b < channel_.numBanks(); ++b) {
+        const RowId open = channel_.bank(b).openRow();
+        if (open == openRow_[b])
+            continue;
+        openRow_[b] = open;
+        hits_[0][b] = countHits(queue_.mirror(false), b, open);
+        hits_[1][b] = countHits(queue_.mirror(true), b, open);
     }
-    if (best < 0)
-        return false;
-    issueSelected(candidates, static_cast<std::size_t>(best), bestCmd, now);
-    return true;
 }
 
 bool
-MemoryController::tryIssueReads(Cycle now, Cycle &nextPossible)
+MemoryController::scanIssue(bool writes, Cycle now, Cycle &nextPossible)
 {
-    prof::ScopedPhase profScan(prof_ ? &prof_->phases : nullptr,
-                               prof::Phase::ReadScan);
-    std::vector<Request> &reads = queue_.reads();
-    if (!soaRankOk_) {
-        if (prof_)
-            ++prof_->scan.fallbackScans;
-        return tryIssue(reads, now, nextPossible);
-    }
-    const std::size_t n = reads.size();
-    if (n == 0)
+    const std::vector<Request> &q = writes ? queue_.writes() : queue_.reads();
+    if (q.empty())
         return false;
-
-    const BankId *bank = queue_.readBank().data();
-    const RowId *row = queue_.readRow().data();
-    const Cycle *arrivedAt = queue_.readArrivedAt().data();
-    const std::uint64_t *keyHi = queue_.readKeyHi().data();
-
-    // Open-row snapshot: one load per bank up front instead of a Bank
-    // dereference per candidate (bank state cannot change mid-scan).
-    const int nb = channel_.numBanks();
-    for (int b = 0; b < nb; ++b)
-        openRowScratch_[b] = channel_.bank(b).openRow();
-    const RowId *openRow = openRowScratch_.data();
+    prof::ScopedPhase profScan(prof_ && !writes ? &prof_->phases : nullptr,
+                               prof::Phase::ReadScan);
+    const QueueMirror &m = queue_.mirror(writes);
+    const std::vector<int> &hits = hits_[writes ? 1 : 0];
+    const CommandKind hitKind =
+        writes ? CommandKind::Write : CommandKind::Read;
+    const RowId *row = m.row.data();
+    const Cycle *arrivedAt = m.arrivedAt.data();
+    const std::uint64_t *keyHi = m.keyHi.data();
 
     // agingOn folds the "no aging" and "nothing can be aged yet" cases:
     // arrivedAt + agingCache_ <= now has no solution while now is below
@@ -374,64 +335,89 @@ MemoryController::tryIssueReads(Cycle now, Cycle &nextPossible)
     const Cycle agedCutoff = agingOn ? now - agingCache_ : 0;
     const std::uint64_t rowHitMask =
         useRowHitCache_
-            ? std::uint64_t{1} << (rowHitAboveRankCache_ ? 61 : 44)
+            ? std::uint64_t{1} << (rowHitAboveRankCache_ ? 61 : 28)
             : 0;
 
-    int best = -1;
-    CommandKind bestCmd = CommandKind::Read;
+    std::size_t best = 0;
+    bool found = false;
+    CommandKind bestCmd = hitKind;
     std::uint64_t bestHi = 0;
     std::uint64_t bestLo = 0;
-    std::uint64_t bestSeq = 0;
-    std::uint64_t skipped = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t hi = keyHi[i];
-        hi |= static_cast<std::uint64_t>(agingOn && arrivedAt[i] <= agedCutoff)
-              << 63;
-        if (openRow[bank[i]] == row[i])
-            hi |= rowHitMask;
-        const std::uint64_t lo = ~arrivedAt[i];
-        if (best >= 0) {
-            // Dominance skip: a candidate whose key loses to the best
-            // issuable one found so far cannot win the scan, so the
-            // (much costlier) canIssue probe is unnecessary.
-            if (hi < bestHi) {
-                ++skipped;
-                continue;
-            }
-            if (hi == bestHi &&
-                (lo < bestLo || (lo == bestLo && reads[i].seq > bestSeq))) {
-                ++skipped;
-                continue;
+    std::uint64_t keyed = 0;
+    for (BankId b = 0; b < channel_.numBanks(); ++b) {
+        const int queued = m.count[b];
+        if (queued == 0)
+            continue;
+        // Which of the bank's present classes may issue now. A refused
+        // class folds its earliest-issue time into the bound, which is
+        // only trusted when no command issues this cycle.
+        const RowId open = openRow_[b];
+        const CommandKind missKind =
+            open == kNoRow ? CommandKind::Activate : CommandKind::Precharge;
+        bool hitOk = false;
+        bool missOk = false;
+        if (hits[b] > 0) {
+            const Legality &e = legality(hitKind, b);
+            hitOk = now >= e.legalFrom;
+            if (!hitOk)
+                nextPossible = std::min(nextPossible, e.at);
+        }
+        if (queued > hits[b]) {
+            const Legality &e = legality(missKind, b);
+            missOk = now >= e.legalFrom;
+            if (!missOk)
+                nextPossible = std::min(nextPossible, e.at);
+        }
+        if (!hitOk && !missOk)
+            continue;
+
+        const std::uint64_t *slots = m.slotsOf(b);
+        for (std::size_t w = 0; w < m.words; ++w) {
+            for (std::uint64_t bits = slots[w]; bits != 0; bits &= bits - 1) {
+                const std::size_t i =
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                const bool hit = row[i] == open;
+                if (!(hit ? hitOk : missOk))
+                    continue;
+                ++keyed;
+                std::uint64_t hi = keyHi[i];
+                hi |= static_cast<std::uint64_t>(agingOn &&
+                                                 arrivedAt[i] <= agedCutoff)
+                      << 63;
+                if (hit)
+                    hi |= rowHitMask;
+                const std::uint64_t lo = ~arrivedAt[i];
+                if (found &&
+                    (hi < bestHi ||
+                     (hi == bestHi &&
+                      (lo < bestLo ||
+                       (lo == bestLo && q[i].seq > q[best].seq)))))
+                    continue;
+                found = true;
+                best = i;
+                bestCmd = hit ? hitKind : missKind;
+                bestHi = hi;
+                bestLo = lo;
             }
         }
-        CommandKind cmd = commandFor(openRow[bank[i]], row[i], false);
-        // nextPossible is only trusted when no command issues this
-        // cycle — and then best stayed negative, no candidate was
-        // dominance-skipped, and this accumulation is complete.
-        if (!legal(cmd, bank[i], now, nextPossible))
-            continue;
-        best = static_cast<int>(i);
-        bestCmd = cmd;
-        bestHi = hi;
-        bestLo = lo;
-        bestSeq = reads[i].seq;
     }
-    if (prof_) {
+    if (prof_ && !writes) {
         ++prof_->scan.soaScans;
-        prof_->scan.readsExamined += n - skipped;
-        prof_->scan.dominanceSkipped += skipped;
+        prof_->scan.readsExamined += keyed;
+        prof_->scan.dominanceSkipped += q.size() - keyed;
     }
-    if (best < 0)
+    if (!found)
         return false;
-    issueSelected(reads, static_cast<std::size_t>(best), bestCmd, now);
+    issueSelected(writes, best, bestCmd, now);
     return true;
 }
 
 void
-MemoryController::issueSelected(std::vector<Request> &candidates,
-                                std::size_t best, CommandKind cmd, Cycle now)
+MemoryController::issueSelected(bool writes, std::size_t slot, CommandKind cmd,
+                                Cycle now)
 {
-    Request req = candidates[best]; // copy: removal invalidates references
+    std::vector<Request> &queue = writes ? queue_.writes() : queue_.reads();
+    Request req = queue[slot]; // copy: removal invalidates references
     dram::IssueResult res = channel_.issue(cmd, req.bank, req.row, now);
     stats_.bankBusyCycles += res.occupancy;
     rankLastActiveAt_[channel_.rankOf(req.bank)] = now;
@@ -441,7 +427,7 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
       case CommandKind::Activate:
         ++stats_.activates;
         ++stats_.rowMisses;
-        candidates[best].sawActivate = true;
+        queue[slot].sawActivate = true;
         break;
       case CommandKind::Precharge:
         ++stats_.precharges;
@@ -458,7 +444,8 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
             lifecycle_->recordLifecycle(
                 req.thread, now - req.arrivedAt,
                 res.dataEnd + timing_->mcToCpuDelay - now);
-        queue_.removeRead(best);
+        --hits_[0][req.bank]; // a column command always hits
+        queue_.removeRead(slot);
         // Departure is stamped at the end of the data burst: a request
         // is "outstanding" (Table 2's load counters) until serviced, not
         // merely until its column command issues.
@@ -469,7 +456,8 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
         ++stats_.writesServiced;
         if (!req.sawActivate)
             ++stats_.rowHits;
-        queue_.removeWrite(best);
+        --hits_[1][req.bank];
+        queue_.removeWrite(slot);
         sched_->onDepart(req, res.dataEnd);
         maybeAutoPrecharge(req);
         break;
@@ -480,6 +468,59 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
     }
 }
 
+Cycle
+MemoryController::queueHorizon(bool writes)
+{
+    const QueueMirror &m = queue_.mirror(writes);
+    const std::vector<int> &hits = hits_[writes ? 1 : 0];
+    const CommandKind hitKind =
+        writes ? CommandKind::Write : CommandKind::Read;
+    Cycle horizon = kCycleNever;
+    for (BankId b = 0; b < channel_.numBanks(); ++b) {
+        if (hits[b] > 0)
+            horizon = std::min(horizon, legality(hitKind, b).at);
+        if (m.count[b] > hits[b])
+            horizon = std::min(horizon,
+                               legality(openRow_[b] == kNoRow
+                                            ? CommandKind::Activate
+                                            : CommandKind::Precharge,
+                                        b)
+                                   .at);
+    }
+    return horizon;
+}
+
+Cycle
+MemoryController::postIssueHorizon(Cycle now)
+{
+    const Cycle soon = now + timing_->tCK;
+    // The next scan re-evaluates the drain latch first. Writes only
+    // arrive through admission, which re-arms the scan at once, so the
+    // queue size that scan sees is today's.
+    const std::size_t writes = queue_.writes().size();
+    const bool flips =
+        drainingWrites_
+            ? writes <= static_cast<std::size_t>(
+                            params_.writeDrain.lowWatermark)
+            : writes >= static_cast<std::size_t>(
+                            params_.writeDrain.highWatermark);
+    if (flips)
+        return soon;
+
+    syncBanks();
+    Cycle horizon = queueHorizon(/*writes=*/true);
+    if (!drainingWrites_ ||
+        params_.writeDrain.mode == WriteDrainMode::Opportunistic)
+        horizon = std::min(horizon, queueHorizon(/*writes=*/false));
+    if (params_.speculativePrecharge) {
+        for (BankId b = 0; b < channel_.numBanks(); ++b)
+            if (openRow_[b] != kNoRow && queue_.queuedAt(b) == 0)
+                horizon = std::min(
+                    horizon, legality(CommandKind::Precharge, b).at);
+    }
+    return std::max(soon, horizon);
+}
+
 void
 MemoryController::tick(Cycle now)
 {
@@ -488,17 +529,21 @@ MemoryController::tick(Cycle now)
     {
         const std::vector<Request> &arrived = queue_.admitArrivals(now);
         if (!arrived.empty()) {
-            // The just-admitted reads occupy the queue tail in arrival
-            // order; stamp their static key halves with the same cached
-            // knobs the queued keys were built from.
-            std::vector<std::uint64_t> &keyHi = queue_.readKeyHi();
-            std::size_t newReads = 0;
+            // The just-admitted requests occupy the queue tails in
+            // arrival order; stamp their static key halves with the same
+            // cached knobs the queued keys were built from, and count
+            // the hits against the bank snapshot (syncBanks recounts a
+            // bank whose row has moved since).
+            std::size_t slot[2] = {queue_.reads().size(),
+                                   queue_.writes().size()};
             for (const Request &req : arrived)
-                newReads += req.isWrite ? 0u : 1u;
-            std::size_t slot = keyHi.size() - newReads;
+                --slot[req.isWrite ? 1 : 0];
             for (const Request &req : arrived) {
-                if (!req.isWrite)
-                    keyHi[slot++] = packedKeyHi(req.thread, req.marked);
+                const int w = req.isWrite ? 1 : 0;
+                queue_.keyHi(req.isWrite)[slot[w]++] =
+                    packedKeyHi(req.thread, req.marked);
+                if (req.row == openRow_[req.bank])
+                    ++hits_[w][req.bank];
                 sched_->onArrival(req, now);
             }
             nextTryAt_ = now; // a fresh request may be issuable at once
@@ -537,46 +582,26 @@ MemoryController::tick(Cycle now)
     // the scans below; only trusted when no command issues this cycle.
     Cycle next_possible = kCycleNever;
 
-    refreshPolicyCache(now);
-    std::fill(verdicts_.begin(), verdicts_.end(), kUnprobed);
+    refreshPolicyCache();
+    syncBanks();
 
+    bool issued = false;
     if (drainingWrites_) {
-        if (tryIssue(queue_.writes(), now, next_possible)) {
-            nextTryAt_ = now + timing_->tCK;
-            return;
-        }
         // Opportunistic drains still make progress on reads if no write
         // can issue this cycle (keeps the bus utilized); Strict reserves
         // the whole latched drain for writes.
-        if (params_.writeDrain.mode == WriteDrainMode::Opportunistic &&
-            tryIssueReads(now, next_possible)) {
-            nextTryAt_ = now + timing_->tCK;
-            return;
-        }
-        if (params_.speculativePrecharge &&
-            trySpeculativePrecharge(now, next_possible)) {
-            nextTryAt_ = now + timing_->tCK;
-            return;
-        }
-        nextTryAt_ = next_possible;
-        return;
+        issued = scanIssue(/*writes=*/true, now, next_possible) ||
+                 (params_.writeDrain.mode == WriteDrainMode::Opportunistic &&
+                  scanIssue(/*writes=*/false, now, next_possible));
+    } else {
+        // Opportunistic write issue when the read stream cannot use the
+        // slot.
+        issued = scanIssue(/*writes=*/false, now, next_possible) ||
+                 scanIssue(/*writes=*/true, now, next_possible);
     }
-
-    if (tryIssueReads(now, next_possible)) {
-        nextTryAt_ = now + timing_->tCK;
-        return;
-    }
-    // Opportunistic write issue when the read stream cannot use the slot.
-    if (tryIssue(queue_.writes(), now, next_possible)) {
-        nextTryAt_ = now + timing_->tCK;
-        return;
-    }
-    if (params_.speculativePrecharge &&
-        trySpeculativePrecharge(now, next_possible)) {
-        nextTryAt_ = now + timing_->tCK;
-        return;
-    }
-    nextTryAt_ = next_possible;
+    if (!issued && params_.speculativePrecharge)
+        issued = trySpeculativePrecharge(now, next_possible);
+    nextTryAt_ = issued ? postIssueHorizon(now) : next_possible;
 }
 
 Cycle

@@ -243,42 +243,12 @@ class MemoryController : public QueueAccess
     std::vector<Request> &readQueue() override { return queue_.reads(); }
 
   private:
-    /** Next DRAM command needed to advance @p req, given bank state. */
-    dram::CommandKind
-    nextCommand(const Request &req) const
-    {
-        return commandFor(channel_.bank(req.bank).openRow(), req.row,
-                          req.isWrite);
-    }
-
-    /**
-     * Next DRAM command for a request to @p row of a bank whose open row
-     * is @p open (kNoRow when precharged): the column command on a hit,
-     * ACT on a precharged bank, PRE otherwise.
-     */
-    static dram::CommandKind
-    commandFor(RowId open, RowId row, bool isWrite)
-    {
-        if (open == kNoRow)
-            return dram::CommandKind::Activate;
-        if (open == row)
-            return isWrite ? dram::CommandKind::Write
-                           : dram::CommandKind::Read;
-        return dram::CommandKind::Precharge;
-    }
-
-    /**
-     * True if @p a should be serviced before @p b under the current
-     * scheduler knobs (Algorithm 3 generalized). Both must be issuable.
-     */
-    bool higherPriority(const Request &a, const Request &b, Cycle now) const;
-
     /**
      * Snapshot scheduler knobs for the scan (hot-path devirtualization).
      * Rebuilt only when the policy's rank epoch moves or a new thread
      * has been seen; otherwise the cached vector is still valid.
      */
-    void refreshPolicyCache(Cycle now);
+    void refreshPolicyCache();
 
     /** Cached rank lookup for the current scan. */
     int
@@ -290,66 +260,88 @@ class MemoryController : public QueueAccess
     }
 
     /**
-     * Memoized Channel::canIssue for the scans of one tick. Channel
-     * state cannot change until a command issues, and a queued
-     * request's command is fixed by its bank and whether it hits the
-     * open row (RD/WR on a hit, ACT on a precharged bank, PRE
-     * otherwise), so each (bank, class) is probed at most once per
-     * tick; the miss class is shared by the read and write scans. On
-     * the first refusal the command's earliestIssue is folded into
-     * @p nextPossible — every scan of a tick accumulates into the same
-     * bound, so later refusals of the same class leave the minimum
-     * unchanged and need not fold again.
+     * One (bank, command) entry of the legality table: the channel's
+     * earliestIssue as of channel version `version`. Channel state moves
+     * only with that version, and on a powered-up rank
+     * canIssue(k, b, t) == (t >= earliestIssue(k, b)) (tests/test_dram's
+     * LegalityContract pins it), so `now >= legalFrom` is the legality
+     * check. A powered-down rank refuses every ACT/RD/WR/PRE, so its
+     * legalFrom is kCycleNever while `at` keeps earliestIssue, the
+     * lower bound a refusal folds into the scan horizon.
      */
-    bool
-    legal(dram::CommandKind cmd, BankId bank, Cycle now, Cycle &nextPossible)
+    struct Legality
     {
-        const int cls = cmd == dram::CommandKind::Read    ? 0
-                        : cmd == dram::CommandKind::Write ? 1
-                                                          : 2;
-        Verdict &v = verdicts_[static_cast<std::size_t>(bank) * 3 + cls];
-        if (v == kUnprobed)
-            v = probe(cmd, bank, now, nextPossible) ? kLegal : kRefused;
-        return v == kLegal;
+        Cycle at = kCycleNever;
+        Cycle legalFrom = kCycleNever;
+        std::uint64_t version = ~std::uint64_t{0}; //!< never current
+    };
+
+    /** The table entry for (@p kind, @p bank), refreshed first when the
+     *  channel version has moved since it was stored. @p kind is one of
+     *  ACT/RD/WR/PRE. */
+    const Legality &
+    legality(dram::CommandKind kind, BankId bank)
+    {
+        Legality &e = legality_[static_cast<std::size_t>(bank) * 4 +
+                                static_cast<std::size_t>(kind)];
+        if (e.version != channel_.version())
+            refreshLegality(e, kind, bank);
+        return e;
     }
 
-    /** The uncached half of legal(): the channel's canIssue, plus the
-     *  fold of earliestIssue on refusal. */
-    bool probe(dram::CommandKind cmd, BankId bank, Cycle now,
-               Cycle &nextPossible);
+    void refreshLegality(Legality &e, dram::CommandKind kind, BankId bank);
 
     /**
-     * Scan @p candidates and issue one command if possible. When no
-     * command can issue, lowers @p nextPossible to the earliest cycle
-     * any candidate could become issuable.
+     * Bring the open-row snapshot and the per-bank hit counts up to date
+     * with the channel: a no-op while the channel version stands still,
+     * otherwise the hit counts of every bank whose open row changed are
+     * recounted from the bank's slots.
      */
-    bool tryIssue(std::vector<Request> &candidates, Cycle now,
-                  Cycle &nextPossible);
+    void syncBanks();
+
+    /** Queued requests of @p m in bank @p b that hit @p row. */
+    static int countHits(const QueueMirror &m, BankId b, RowId row);
 
     /**
-     * Read-queue scan over the SoA mirror with packed priority keys:
-     * same selection as tryIssue over queue_.reads(), but streams dense
-     * arrays and skips the canIssue check for candidates whose key loses
-     * to the best issuable one found so far. Falls back to tryIssue when
-     * a rank does not fit the key's 16-bit field (see packedKeyHi).
+     * Scan the read queue (@p writes false) or the write queue and issue
+     * the highest-priority legal command, if any. Banks whose present
+     * command classes (hit: RD/WR on the open row; miss: ACT or PRE) are
+     * all refused are skipped whole, their earliest-issue times folded
+     * into @p nextPossible; only requests in legal classes are keyed.
+     * The pick is the maximum of a total order (packed key, then oldest
+     * seq), so walk order cannot change it. Read scans are timed as the
+     * profiler's ReadScan phase and counted in its scan counters.
      */
-    bool tryIssueReads(Cycle now, Cycle &nextPossible);
+    bool scanIssue(bool writes, Cycle now, Cycle &nextPossible);
 
     /**
      * Static half of the packed priority key for @p thread (marked bit
-     * plus biased rank); see tryIssueReads for the full layout. Clears
-     * soaRankOk_ when the rank overflows its field.
+     * plus biased rank); see scanIssue for the full layout.
      */
-    std::uint64_t packedKeyHi(ThreadId thread, bool marked);
+    std::uint64_t packedKeyHi(ThreadId thread, bool marked) const;
 
     /**
-     * Issue nextCommand(@p candidates[best]) and apply every side effect
-     * (stats, completions, latency, lifecycle, hooks, removal). Shared
-     * tail of tryIssue and tryIssueReads; @p candidates must be the live
-     * queue vector the index refers into.
+     * Issue @p cmd for the request in slot @p slot of the read or write
+     * queue and apply every side effect (stats, completions, latency,
+     * lifecycle, hooks, hit counts, removal).
      */
-    void issueSelected(std::vector<Request> &candidates, std::size_t best,
-                       dram::CommandKind cmd, Cycle now);
+    void issueSelected(bool writes, std::size_t slot, dram::CommandKind cmd,
+                       Cycle now);
+
+    /**
+     * Earliest cycle the next scan after a command issued at @p now could
+     * issue again: the later of now + tCK and the least earliest-issue
+     * time over the classes that scan would examine in the current drain
+     * mode, plus pending speculative precharges. When that scan would
+     * flip the write-drain latch, now + tCK, so the flip (and its
+     * writeDrains count) happens at the same cycle as with a rescan
+     * every tCK.
+     */
+    Cycle postIssueHorizon(Cycle now);
+
+    /** Least earliest-issue time over the classes present in the read
+     *  or write queue. */
+    Cycle queueHorizon(bool writes);
 
     /** Progress the refresh engine; true if it consumed the command slot. */
     bool refreshEngine(Cycle now);
@@ -401,24 +393,17 @@ class MemoryController : public QueueAccess
     ThreadId maxThreadSeen_ = 0;
     std::uint64_t policyCacheEpoch_ = 0; //!< 0 = cache never built
 
-    // SoA scan state. soaRankOk_ means every cached rank fits the packed
-    // key's biased 16-bit field; re-evaluated on every cache rebuild,
-    // and cleared (until the next rebuild) if an admitted request's rank
-    // overflows. openRowScratch_ is the per-scan open-row snapshot,
-    // indexed by bank.
-    bool soaRankOk_ = true;
-    std::vector<RowId> openRowScratch_;
+    // Bank index (see syncBanks): the open row of every bank as of
+    // channel version syncedVersion_, and per bank the queued reads
+    // (hits_[0]) and writes (hits_[1]) that hit that row. Admission and
+    // removal keep the counts exact against the snapshot; syncBanks
+    // recounts a bank when its snapshot moves.
+    std::vector<RowId> openRow_;
+    std::vector<int> hits_[2];
+    std::uint64_t syncedVersion_ = 0;
 
-    // Legality memo for the current tick's scans (see legal()): one
-    // verdict per (bank, class), class 0 = RD hit, 1 = WR hit, 2 = miss
-    // (ACT or PRE). Cleared before every tick's scans.
-    enum Verdict : std::uint8_t
-    {
-        kUnprobed,
-        kLegal,
-        kRefused,
-    };
-    std::vector<Verdict> verdicts_;
+    // Legality table, four entries (ACT, RD, WR, PRE) per bank.
+    std::vector<Legality> legality_;
 };
 
 } // namespace tcm::mem

@@ -4,15 +4,77 @@
 
 namespace tcm::mem {
 
+namespace {
+
+void
+initMirror(QueueMirror &m, int cap, int numBanks)
+{
+    m.bank.reserve(cap);
+    m.row.reserve(cap);
+    m.arrivedAt.reserve(cap);
+    m.keyHi.reserve(cap);
+    m.count.assign(numBanks, 0);
+    m.words = (static_cast<std::size_t>(cap) + 63) / 64;
+    m.slots.assign(m.words * static_cast<std::size_t>(numBanks), 0);
+}
+
+std::uint64_t &
+slotWord(QueueMirror &m, BankId b, std::size_t slot)
+{
+    return m.slots[static_cast<std::size_t>(b) * m.words + slot / 64];
+}
+
+std::uint64_t
+slotBit(std::size_t slot)
+{
+    return std::uint64_t{1} << (slot % 64);
+}
+
+/** Append @p req at the tail slot of @p m. */
+void
+pushMirror(QueueMirror &m, const Request &req)
+{
+    const std::size_t slot = m.bank.size();
+    m.bank.push_back(req.bank);
+    m.row.push_back(req.row);
+    m.arrivedAt.push_back(req.arrivedAt);
+    m.keyHi.push_back(0); // the controller fills in the key
+    ++m.count[req.bank];
+    slotWord(m, req.bank, slot) |= slotBit(slot);
+}
+
+/** Swap-pop slot @p idx of @p m, mirroring the queue's own swap-pop. */
+void
+removeMirror(QueueMirror &m, std::size_t idx)
+{
+    const std::size_t last = m.bank.size() - 1;
+    const BankId gone = m.bank[idx];
+    --m.count[gone];
+    slotWord(m, gone, idx) &= ~slotBit(idx);
+    if (idx != last) {
+        const BankId moved = m.bank[last];
+        slotWord(m, moved, last) &= ~slotBit(last);
+        slotWord(m, moved, idx) |= slotBit(idx);
+        m.bank[idx] = moved;
+        m.row[idx] = m.row[last];
+        m.arrivedAt[idx] = m.arrivedAt[last];
+        m.keyHi[idx] = m.keyHi[last];
+    }
+    m.bank.pop_back();
+    m.row.pop_back();
+    m.arrivedAt.pop_back();
+    m.keyHi.pop_back();
+}
+
+} // namespace
+
 RequestQueue::RequestQueue(int readCap, int writeCap, int numBanks)
-    : readCap_(readCap), writeCap_(writeCap), bankQueued_(numBanks, 0)
+    : readCap_(readCap), writeCap_(writeCap)
 {
     reads_.reserve(readCap);
     writes_.reserve(writeCap);
-    readBank_.reserve(readCap);
-    readRow_.reserve(readCap);
-    readArrivedAt_.reserve(readCap);
-    readKeyHi_.reserve(readCap);
+    initMirror(readMirror_, readCap, numBanks);
+    initMirror(writeMirror_, writeCap, numBanks);
 }
 
 bool
@@ -31,7 +93,7 @@ void
 RequestQueue::addInFlight(const Request &req)
 {
     assert(req.bank >= 0 &&
-           static_cast<std::size_t>(req.bank) < bankQueued_.size());
+           static_cast<std::size_t>(req.bank) < readMirror_.count.size());
     if (req.isWrite) {
         assert(canAcceptWrite());
         ++inFlightWrites_;
@@ -62,17 +124,14 @@ RequestQueue::admitArrivals(Cycle now)
     admitScratch_.assign(inFlight_.begin(), inFlight_.begin() + n);
     inFlight_.erase(inFlight_.begin(), inFlight_.begin() + n);
     for (const Request &req : admitScratch_) {
-        ++bankQueued_[req.bank];
         if (req.isWrite) {
             --inFlightWrites_;
             writes_.push_back(req);
+            pushMirror(writeMirror_, req);
         } else {
             --inFlightReads_;
             reads_.push_back(req);
-            readBank_.push_back(req.bank);
-            readRow_.push_back(req.row);
-            readArrivedAt_.push_back(req.arrivedAt);
-            readKeyHi_.push_back(0); // controller fills in the key
+            pushMirror(readMirror_, req);
         }
     }
     return admitScratch_;
@@ -85,15 +144,7 @@ RequestQueue::removeRead(std::size_t idx)
     Request req = reads_[idx];
     reads_[idx] = reads_.back();
     reads_.pop_back();
-    readBank_[idx] = readBank_.back();
-    readBank_.pop_back();
-    readRow_[idx] = readRow_.back();
-    readRow_.pop_back();
-    readArrivedAt_[idx] = readArrivedAt_.back();
-    readArrivedAt_.pop_back();
-    readKeyHi_[idx] = readKeyHi_.back();
-    readKeyHi_.pop_back();
-    --bankQueued_[req.bank];
+    removeMirror(readMirror_, idx);
     return req;
 }
 
@@ -104,7 +155,7 @@ RequestQueue::removeWrite(std::size_t idx)
     Request req = writes_[idx];
     writes_[idx] = writes_.back();
     writes_.pop_back();
-    --bankQueued_[req.bank];
+    removeMirror(writeMirror_, idx);
     return req;
 }
 

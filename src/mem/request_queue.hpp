@@ -14,6 +14,44 @@
 namespace tcm::mem {
 
 /**
+ * Structure-of-arrays mirror of one visible queue, index-aligned with
+ * RequestQueue::reads() or writes(), plus a per-bank index of its
+ * slots. The controller's scan touches only these fields, so it streams
+ * dense arrays instead of striding through whole Request structs, and
+ * visits only the slots of the banks it has to.
+ *
+ * bank/row/arrivedAt, the per-bank counts and the slot bitsets are
+ * maintained structurally by RequestQueue (admit + swap-pop). keyHi,
+ * the static half of the packed priority key, is owned by the
+ * controller, which stamps it at admission and rebuilds it when
+ * scheduler knobs move (see MemoryController::refreshPolicyCache).
+ */
+struct QueueMirror
+{
+    std::vector<BankId> bank;
+    std::vector<RowId> row;
+    std::vector<Cycle> arrivedAt;
+    std::vector<std::uint64_t> keyHi;
+
+    /** Queued requests per bank. */
+    std::vector<int> count;
+
+    /**
+     * Per-bank slot bitsets, `words` 64-bit words per bank: bit i of
+     * bank b's set is on exactly when slot i of the queue targets b.
+     */
+    std::vector<std::uint64_t> slots;
+    std::size_t words = 0;
+
+    /** First word of bank @p b's slot bitset. */
+    const std::uint64_t *
+    slotsOf(BankId b) const
+    {
+        return slots.data() + static_cast<std::size_t>(b) * words;
+    }
+};
+
+/**
  * Holds the controller's queued requests: a read request buffer and a
  * write data buffer (Table 3: 128-entry reads, 64-entry writes). Requests
  * that have been transported from the core but are not yet visible
@@ -23,8 +61,8 @@ namespace tcm::mem {
 class RequestQueue
 {
   public:
-    /** @p numBanks sizes the per-bank occupancy counts (bank ids are
-     *  channel-local, in [0, numBanks)). */
+    /** @p numBanks sizes the per-bank index (bank ids are channel-local,
+     *  in [0, numBanks)). */
     RequestQueue(int readCap, int writeCap, int numBanks);
 
     /** @{ Capacity checks, counting in-flight arrivals. */
@@ -38,7 +76,8 @@ class RequestQueue
     /**
      * Move every in-flight request with arrivedAt <= now into the visible
      * queues; returns the requests that just arrived (for observer
-     * hooks). The returned reference aliases an internal scratch buffer
+     * hooks), which occupy the tails of reads() and writes() in arrival
+     * order. The returned reference aliases an internal scratch buffer
      * that the next admitArrivals call reuses — no per-tick allocation,
      * and the empty-tick fast path touches nothing but the FIFO head.
      */
@@ -78,26 +117,25 @@ class RequestQueue
 
     /**
      * Visible reads plus writes targeting bank @p b (in-flight requests
-     * are not counted). Maintained by admitArrivals, removeRead and
-     * removeWrite, so "does any queued request target this bank" is one
-     * load instead of a walk over both queues.
+     * are not counted): "does any queued request target this bank" is
+     * two loads instead of a walk over both queues.
      */
-    int queuedAt(BankId b) const { return bankQueued_[b]; }
+    int
+    queuedAt(BankId b) const
+    {
+        return readMirror_.count[b] + writeMirror_.count[b];
+    }
 
-    // -- SoA mirror of the read queue ---------------------------------------
-    //
-    // The hot candidate scan touches only a handful of Request fields;
-    // keeping them in parallel arrays (index-aligned with reads()) lets
-    // the scan stream over dense, cache-friendly data instead of
-    // striding through whole Request structs. bank/row/arrivedAt are
-    // maintained structurally here (admit + swap-pop); the packed
-    // priority key is owned by the controller, which rebuilds it when
-    // scheduler knobs move (see MemoryController::refreshPolicyCache).
-
-    const std::vector<BankId> &readBank() const { return readBank_; }
-    const std::vector<RowId> &readRow() const { return readRow_; }
-    const std::vector<Cycle> &readArrivedAt() const { return readArrivedAt_; }
-    std::vector<std::uint64_t> &readKeyHi() { return readKeyHi_; }
+    /** @{ SoA mirror and per-bank index of the read or write queue. */
+    const QueueMirror &mirror(bool writes) const
+    {
+        return writes ? writeMirror_ : readMirror_;
+    }
+    std::vector<std::uint64_t> &keyHi(bool writes)
+    {
+        return writes ? writeMirror_.keyHi : readMirror_.keyHi;
+    }
+    /** @} */
 
   private:
     int readCap_;
@@ -108,13 +146,8 @@ class RequestQueue
     std::vector<Request> admitScratch_; //!< reused by admitArrivals
     std::size_t inFlightReads_ = 0;
     std::size_t inFlightWrites_ = 0;
-    std::vector<int> bankQueued_; //!< visible reads + writes per bank
-
-    // Index-aligned with reads_.
-    std::vector<BankId> readBank_;
-    std::vector<RowId> readRow_;
-    std::vector<Cycle> readArrivedAt_;
-    std::vector<std::uint64_t> readKeyHi_;
+    QueueMirror readMirror_;  //!< index-aligned with reads_
+    QueueMirror writeMirror_; //!< index-aligned with writes_
 };
 
 } // namespace tcm::mem

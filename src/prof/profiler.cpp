@@ -320,7 +320,7 @@ ProfileReport::print(std::FILE *out) const
                          static_cast<double>(steps),
                      static_cast<double>(coreVisits) /
                          static_cast<double>(steps));
-    if (scan.soaScans + scan.fallbackScans > 0) {
+    if (scan.soaScans > 0) {
         double skipPct =
             scan.readsExamined + scan.dominanceSkipped > 0
                 ? 100.0 * static_cast<double>(scan.dominanceSkipped) /
@@ -328,19 +328,17 @@ ProfileReport::print(std::FILE *out) const
                                           scan.dominanceSkipped)
                 : 0.0;
         std::fprintf(out,
-                     "  soa scan: %llu scans, %llu reads examined, "
-                     "%llu dominance-skipped (%.1f%%), %llu fallback\n",
+                     "  read scan: %llu scans, %llu reads keyed, "
+                     "%llu skipped unkeyed (%.1f%%)\n",
                      static_cast<unsigned long long>(scan.soaScans),
                      static_cast<unsigned long long>(scan.readsExamined),
                      static_cast<unsigned long long>(scan.dominanceSkipped),
-                     skipPct,
-                     static_cast<unsigned long long>(scan.fallbackScans));
+                     skipPct);
         std::fprintf(out,
-                     "  legality probes: %llu (%.2f per read scan)\n",
+                     "  legality-table refreshes: %llu (%.2f per read scan)\n",
                      static_cast<unsigned long long>(scan.legalityProbes),
                      static_cast<double>(scan.legalityProbes) /
-                         static_cast<double>(scan.soaScans +
-                                             scan.fallbackScans));
+                         static_cast<double>(scan.soaScans));
     }
 }
 

@@ -34,7 +34,7 @@ namespace tcm::prof {
 enum class Phase : int {
     SchedTick = 0, //!< scheduler policy tick + hook dispatch
     CtrlTick,      //!< memory-controller tick (admit/refresh/issue)
-    ReadScan,      //!< SoA read-queue scan (subset of CtrlTick)
+    ReadScan,      //!< read-queue scan (subset of CtrlTick)
     CoreTick,      //!< core lockstep ticks + silent fast-forwarding
     Telemetry,     //!< interval sampling into the telemetry sink
     Serialize,     //!< end-of-run telemetry/profile file writes
@@ -117,15 +117,27 @@ class ScopedPhase
     std::chrono::steady_clock::time_point t0_{};
 };
 
-/** Scan efficiency counters (see mem::Controller::tryIssueReads). */
+/**
+ * Scan efficiency counters of the bank-indexed controller scan (see
+ * mem::MemoryController::scanIssue). Deterministic at a seed.
+ */
 struct ScanCounters {
-    std::uint64_t soaScans = 0;         //!< SoA scans executed
-    std::uint64_t readsExamined = 0;    //!< candidate reads visited
-    std::uint64_t dominanceSkipped = 0; //!< rejected by packed-key compare
-    std::uint64_t fallbackScans = 0;    //!< legacy scans (rank overflow)
-    /** Channel::canIssue calls made by the read and write scans (at
-     *  most one per bank and command class per tick; see
-     *  mem::MemoryController::legal). */
+    /** Read-queue scans: one per scan of a non-empty read queue. */
+    std::uint64_t soaScans = 0;
+    /** Reads keyed by a read scan: the requests in (bank, command)
+     *  classes that were legal that cycle. */
+    std::uint64_t readsExamined = 0;
+    /** Reads a read scan skipped without a key (their class was
+     *  refused); readsExamined + dominanceSkipped is the number of
+     *  queued reads summed over the read scans. */
+    std::uint64_t dominanceSkipped = 0;
+    /** Always 0: the 16-bit-rank fallback scan it counted is gone (the
+     *  key's rank field holds every int). Kept only because the
+     *  benchmark harness (perfbench/src/layers.cpp) still reads it. */
+    std::uint64_t fallbackScans = 0;
+    /** Legality-table refreshes: Channel::earliestIssue calls made when
+     *  an entry was read after the channel's state version moved (see
+     *  mem::MemoryController::legality). */
     std::uint64_t legalityProbes = 0;
 
     void

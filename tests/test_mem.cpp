@@ -13,6 +13,7 @@
 #include "dram/protocol.hpp"
 #include "mem/controller.hpp"
 #include "mem/request_queue.hpp"
+#include "prof/profiler.hpp"
 #include "sched/fcfs.hpp"
 #include "sched/fixed_rank.hpp"
 #include "sched/frfcfs.hpp"
@@ -116,7 +117,9 @@ TEST(RequestQueue, PerBankCountsMatchBruteForce)
 {
     // Seeded random admit/remove sequences, including swap-pop removals
     // from the middle of either queue: after every step the maintained
-    // per-bank counts equal a fresh count over the visible queues.
+    // per-bank counts equal a fresh count over the visible queues, each
+    // SoA mirror is index-aligned with its queue, and each bank's slot
+    // bitset holds exactly the slots that target that bank.
     constexpr int kBanks = 8;
     for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
         RequestQueue q(32, 16, kBanks);
@@ -133,6 +136,34 @@ TEST(RequestQueue, PerBankCountsMatchBruteForce)
                 ASSERT_EQ(q.queuedAt(b), expected)
                     << "seed " << seed << " step " << step << " bank " << b;
             }
+            for (bool writes : {false, true}) {
+                const std::vector<Request> &queue =
+                    writes ? q.writes() : q.reads();
+                const QueueMirror &m = q.mirror(writes);
+                ASSERT_EQ(m.bank.size(), queue.size());
+                ASSERT_EQ(m.row.size(), queue.size());
+                ASSERT_EQ(m.arrivedAt.size(), queue.size());
+                ASSERT_EQ(m.keyHi.size(), queue.size());
+                for (std::size_t i = 0; i < queue.size(); ++i) {
+                    ASSERT_EQ(m.bank[i], queue[i].bank) << "step " << step;
+                    ASSERT_EQ(m.row[i], queue[i].row) << "step " << step;
+                    ASSERT_EQ(m.arrivedAt[i], queue[i].arrivedAt)
+                        << "step " << step;
+                }
+                for (BankId b = 0; b < kBanks; ++b) {
+                    int count = 0;
+                    for (std::size_t i = 0; i < m.words * 64; ++i) {
+                        const bool set = (m.slotsOf(b)[i / 64] >> (i % 64)) & 1;
+                        const bool want =
+                            i < queue.size() && queue[i].bank == b;
+                        ASSERT_EQ(set, want) << "seed " << seed << " step "
+                                             << step << " bank " << b
+                                             << " slot " << i;
+                        count += want ? 1 : 0;
+                    }
+                    ASSERT_EQ(m.count[b], count) << "step " << step;
+                }
+            }
         };
         for (int step = 0; step < 4000; ++step) {
             switch (rng.nextBelow(4)) {
@@ -141,6 +172,7 @@ TEST(RequestQueue, PerBankCountsMatchBruteForce)
                 r.seq = seq++;
                 r.isWrite = rng.nextBool(0.3);
                 r.bank = static_cast<BankId>(rng.nextBelow(kBanks));
+                r.row = static_cast<RowId>(rng.nextBelow(16));
                 r.arrivedAt = now + 3;
                 if (r.isWrite ? q.canAcceptWrite() : q.canAcceptRead())
                     q.addInFlight(r);
@@ -443,6 +475,26 @@ TEST(Controller, SmartClosedKeepsRowForQueuedHit)
     mc.submitRead(0, 2, 0, 5, 1, 0);
     spin(mc, 0, 1200);
     EXPECT_EQ(mc.stats().readsServiced, 2u);
+    EXPECT_EQ(mc.stats().activates, 1u);
+    EXPECT_EQ(mc.stats().rowHits, 1u);
+}
+
+TEST(Controller, SmartClosedKeepsRowForQueuedWriteHit)
+{
+    dram::TimingParams t = timing();
+    ControllerParams p;
+    p.pagePolicy = PagePolicy::Closed;
+    sched::FrFcfs sched;
+    sched.configure(1, 1, t.banksPerChannel);
+    MemoryController mc(0, t, p, sched);
+
+    // A read and a write to one row queued together: the read goes
+    // first, and the queued write hit must keep the row open after it.
+    mc.submitRead(0, 1, 0, 5, 0, 0);
+    mc.submitWrite(0, 0, 5, 1, 0);
+    spin(mc, 0, 1200);
+    EXPECT_EQ(mc.stats().readsServiced, 1u);
+    EXPECT_EQ(mc.stats().writesServiced, 1u);
     EXPECT_EQ(mc.stats().activates, 1u);
     EXPECT_EQ(mc.stats().rowHits, 1u);
 }
@@ -984,7 +1036,7 @@ TEST(Controller, OverAgeRequestBeatsHigherRank)
 }
 
 // ---------------------------------------------------------------------------
-// Legality memo: the scan's horizon is the per-request brute force
+// Legality table: the scan's horizon is the per-request brute force
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -992,7 +1044,7 @@ namespace {
 /**
  * Min over every queued request of the earliest cycle its next command
  * could issue, computed one request at a time — the per-request probe
- * the controller's per-bank memo replaces.
+ * the controller's per-bank legality table replaces.
  */
 Cycle
 bruteForceNextIssue(const MemoryController &mc,
@@ -1016,7 +1068,7 @@ checkRefusedScanHorizon(const dram::TimingParams &t)
 {
     // 96 reads piled onto three banks over four rows: most scans find
     // every candidate blocked (tRCD, tRP, tRAS, data bus), so the scan
-    // horizon is decided entirely by memoized refusals.
+    // horizon is decided entirely by the legality table's refusals.
     sched::FrFcfs sched;
     sched.configure(4, 1, t.banksPerChannel);
     MemoryController mc(0, t, ControllerParams{}, sched);
@@ -1039,9 +1091,9 @@ checkRefusedScanHorizon(const dram::TimingParams &t)
             issuedAny = true;
             continue;
         }
-        // A scan ran at lastIssue + tCK (the bus and the scan slot both
-        // free then), refused every candidate, and nothing has issued
-        // since, so its bound still describes the channel.
+        // The horizon set after the last issue (the least earliest-issue
+        // time over the queued classes, or a refused scan's bound) still
+        // describes the channel: nothing has issued since.
         if (!issuedAny || now < lastIssue + t.tCK ||
             mc.nextArrivalAt() != kCycleNever)
             continue;
@@ -1090,6 +1142,39 @@ TEST(Controller, RowHitWriteIssuesWhileSameRowReadWaitsOutTwtr)
         ASSERT_NE(readAt, kCycleNever);
         EXPECT_LT(secondWriteAt, readAt) << "tWTR " << t.tWTR;
         EXPECT_EQ(mc.stats().activates, 1u); // both hit the open row
+    }
+}
+
+TEST(Controller, PostIssueHorizonWakesOnlyScansThatIssue)
+{
+    // After a command, the next scan is due at the least earliest-issue
+    // time over the queued classes, when one of them is legal by the
+    // channel's legality contract. With no arrivals, refresh or drain
+    // flips after the first scan, every later read scan issues.
+    for (const dram::TimingParams &base :
+         {timing(), dram::protocols::ddr4_2400().derive()}) {
+        dram::TimingParams t = base;
+        t.refreshEnabled = false;
+        sched::FrFcfs sched;
+        sched.configure(4, 1, t.banksPerChannel);
+        MemoryController mc(0, t, ControllerParams{}, sched);
+        prof::ControllerShard shard;
+        mc.setProfile(&shard);
+        tcm::Pcg32 rng(31);
+        const auto banks = static_cast<std::uint32_t>(t.banksPerChannel);
+        for (std::uint64_t id = 0; id < 96; ++id)
+            mc.submitRead(static_cast<ThreadId>(id % 4), id,
+                          static_cast<BankId>(rng.nextBelow(banks)),
+                          static_cast<RowId>(rng.nextBelow(4)),
+                          static_cast<ColId>(id % 64), 0);
+        for (Cycle now = 0; now < 200'000 && mc.readLoad() > 0; ++now) {
+            mc.tick(now);
+            mc.completions().clear();
+        }
+        ASSERT_EQ(mc.stats().readsServiced, 96u);
+        // One refused scan at arrival, when nothing is legal yet.
+        EXPECT_LE(shard.scan.soaScans, commandsIssued(mc.stats()) + 1);
+        EXPECT_EQ(shard.scan.fallbackScans, 0u);
     }
 }
 
